@@ -27,7 +27,12 @@ from .operators import (
     render_stack,
 )
 from .pm import PMParams, render_feedback_pm, render_pm1, render_pm2
-from .spectrum import LineSpectrum, predict_first_order, predict_second_order
+from .spectrum import (
+    BudgetExceededError,
+    LineSpectrum,
+    predict_first_order,
+    predict_second_order,
+)
 
 TOPOLOGIES = ("fm-stack", "fm-stack-naive", "pm1", "pm2", "fm-feedback", "pm-feedback")
 _ARITY = {"pm1": (2, 2), "pm2": (3, 3), "fm-feedback": (1, 1), "pm-feedback": (1, 1)}
@@ -57,9 +62,14 @@ class PatchSpec:
                 + (f" to {hi}" if hi != lo else "")
                 + f", got {len(self.operators)}"
             )
+        self.operators = [(float(a), float(f)) for a, f in self.operators]
+        values = [v for op in self.operators for v in op] + [self.feedback_gain, self.sample_rate, self.duration]
+        if not all(math.isfinite(v) for v in values):
+            raise UsageError("operator values, feedback gain, sample rate and duration must be finite")
         if self.sample_rate <= 0 or self.duration <= 0:
             raise UsageError("sample rate and duration must be positive")
-        self.operators = [(float(a), float(f)) for a, f in self.operators]
+        if self.n_samples < 1:
+            raise UsageError(f"duration {self.duration:g} s rounds to 0 samples at {self.sample_rate:g} Hz")
 
     @classmethod
     def from_json(cls, text: str) -> "PatchSpec":
@@ -311,7 +321,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InstabilityError, ValueError, OSError) as exc:
+    except (InstabilityError, BudgetExceededError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -7,13 +7,17 @@ the instantaneous frequency, which is what makes operators freely stackable
 without the carrier drift of the naive formulation.
 """
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .wavetable import PhaseAccumulator, make_cosine_table
+from .wavetable import PHASE_MODULUS, PhaseAccumulator, make_cosine_table
 
-DEFAULT_BLOCK_SIZE = 64
+# Chunk length of stack renders. Output is bit-identical at any size; 8192
+# was the fastest size measured (64 to whole-buffer), and chunking bounds the
+# temporaries of long renders.
+DEFAULT_BLOCK_SIZE = 8192
 
 _shared_table = None
 
@@ -59,7 +63,7 @@ class Operator:
     def tick(self, amp: float, freq_hz: float, mod_in: float = 0.0, naive: bool = False) -> tuple[float, float]:
         """Single-sample form: returns (audio, modulation_out)."""
         f = freq_hz + mod_in
-        if abs(f) >= self.sample_rate:
+        if not abs(f) < self.sample_rate:
             raise ValueError(f"instantaneous frequency {f} Hz aliases at fs={self.sample_rate}")
         s = self.acc.tick(self.table, amp, int(f * self.acc.freq_scale))
         return s, s * (freq_hz if naive else f)
@@ -79,7 +83,7 @@ class Operator:
             f = np.full(n_samples, float(freq_hz))
         else:
             f = freq_hz + np.asarray(fm, dtype=np.float64)
-        if np.any(np.abs(f) >= self.sample_rate):
+        if not np.all(np.abs(f) < self.sample_rate):
             raise ValueError(f"instantaneous frequency aliases at fs={self.sample_rate}")
         increments = (f * self.acc.freq_scale).astype(np.int64)
         audio = self.acc.run(self.table, amp, increments)
@@ -150,15 +154,29 @@ def render_feedback_fm(
     10x the sample rate, or the instantaneous frequency aliasing).
     """
     op = Operator(sample_rate, table)
-    audio = np.empty(n_samples)
-    modulation = np.empty(n_samples)
+    # Operator.tick inlined: the loop is serial, so per-sample call and numpy
+    # scalar overhead is the whole cost. Same arithmetic, same guards.
+    tab = op.table.tolist()
+    frac_bits, frac_mask = op.acc.frac_bits, op.acc.frac_mask
+    frac_scale, freq_scale = op.acc.frac_scale, op.acc.freq_scale
+    phase_mask = PHASE_MODULUS - 1
+    sr = op.sample_rate
+    audio = array("d", bytes(8 * n_samples))
+    modulation = array("d", bytes(8 * n_samples))
     limit = 10.0 * sample_rate
+    phase = 0
     prev = 0.0
     for n in range(n_samples):
-        try:
-            s, m = op.tick(amp, freq_hz, feedback_gain * prev)
-        except ValueError as exc:
-            raise InstabilityError(f"feedback FM diverged at sample {n}: {exc}") from exc
+        f = freq_hz + feedback_gain * prev
+        if not abs(f) < sr:
+            raise InstabilityError(
+                f"feedback FM diverged at sample {n}: instantaneous frequency {f} Hz aliases at fs={sr}"
+            )
+        idx = phase >> frac_bits
+        base = tab[idx]
+        s = amp * (base + (phase & frac_mask) * frac_scale * (tab[idx + 1] - base))
+        phase = (phase + int(f * freq_scale)) & phase_mask
+        m = s * f
         if abs(m) > limit:
             raise InstabilityError(
                 f"feedback FM diverged at sample {n}: |modulation| {abs(m):.3g} > {limit:.3g}"
@@ -166,4 +184,4 @@ def render_feedback_fm(
         audio[n] = s
         modulation[n] = m
         prev = m
-    return Block(audio, modulation, float(sample_rate))
+    return Block(np.frombuffer(audio), np.frombuffer(modulation), float(sample_rate))

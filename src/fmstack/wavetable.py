@@ -68,18 +68,22 @@ class PhaseAccumulator:
         return float(sample)
 
     def run(self, table: np.ndarray, amp: float, increments: np.ndarray) -> np.ndarray:
-        """Render one sample per increment; bit-identical to repeated tick()."""
-        inc = np.asarray(increments, dtype=np.int64)
+        """Render one sample per increment; bit-identical to repeated tick().
+
+        The phases are a uint32 running sum seeded with the current phase, so
+        the 2**32 wrap is the integer arithmetic itself, at any run length.
+        """
+        inc = np.asarray(increments, dtype=np.int64).astype(np.uint32)
         if len(inc) == 0:
             return np.empty(0, dtype=np.float64)
-        phases = np.empty(len(inc), dtype=np.int64)
-        phases[0] = 0
-        np.cumsum(inc[:-1], out=phases[1:])
-        phases += self.phase
-        phases %= PHASE_MODULUS
+        phases = np.empty(len(inc), dtype=np.uint32)
+        phases[0] = self.phase
+        phases[1:] = inc[:-1]
+        np.cumsum(phases, dtype=np.uint32, out=phases)
         idx = (phases >> self.frac_bits).astype(np.intp)
         frac = (phases & self.frac_mask) * self.frac_scale
         base = table[idx]
         out = amp * (base + frac * (table[idx + 1] - base))
-        self.phase = int((self.phase + int(inc.sum())) % PHASE_MODULUS)
+        # Python ints: numpy uint32 scalar addition warns on overflow
+        self.phase = (int(phases[-1]) + int(inc[-1])) & _PHASE_MASK
         return out

@@ -5,6 +5,8 @@ from math import factorial
 
 import numpy as np
 
+from fmstack.operators import Block, InstabilityError, Operator
+
 
 def bessel_series(n: int, z: float, terms: int = 100) -> float:
     """J_n(z) by the alternating power series in exact rational arithmetic.
@@ -41,3 +43,25 @@ def naive_dft_mags(samples, sample_rate):
         mags[-1] *= 0.5
     freqs = k * (sample_rate / n)
     return freqs, mags
+
+
+def feedback_fm_ticks(amp, freq_hz, feedback_gain, n_samples, sample_rate, table=None):
+    """render_feedback_fm as one Operator.tick call per sample."""
+    op = Operator(sample_rate, table)
+    audio = np.empty(n_samples)
+    modulation = np.empty(n_samples)
+    limit = 10.0 * sample_rate
+    prev = 0.0
+    for n in range(n_samples):
+        try:
+            s, m = op.tick(amp, freq_hz, feedback_gain * prev)
+        except ValueError as exc:
+            raise InstabilityError(f"feedback FM diverged at sample {n}: {exc}") from exc
+        if abs(m) > limit:
+            raise InstabilityError(
+                f"feedback FM diverged at sample {n}: |modulation| {abs(m):.3g} > {limit:.3g}"
+            )
+        audio[n] = s
+        modulation[n] = m
+        prev = m
+    return Block(audio, modulation, float(sample_rate))

@@ -153,6 +153,30 @@ def test_usage_errors_exit_2(argv, tmp_path):
     assert main(argv[:-1] + [str(tmp_path / "x.wav")]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["render", "--topology", "fm-stack", "--op", "nan:300", "--op", "1:440"],
+    ["render", "--topology", "fm-stack", "--op", "1:inf"],
+    ["render", "--topology", "fm-feedback", "--op", "1:500", "--feedback-gain", "nan"],
+    ["render", "--topology", "fm-stack", "--op", "1:500", "--sr", "inf"],
+    ["render", "--topology", "fm-stack", "--op", "1:500", "--dur", "nan"],
+    ["render", "--patch", '{"topology": "fm-stack", "operators": [[NaN, 300], [1, 440]]}'],
+    ["render", "--patch", '{"topology": "pm-feedback", "operators": [[1, 500]], "feedback_gain": Infinity}'],
+    ["render", "--topology", "fm-stack", "--op", "1:500", "--dur", "0.00001"],  # rounds to 0 samples
+])
+def test_bad_values_exit_2_without_file(argv, tmp_path):
+    out = tmp_path / "x.wav"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_budget_exceeded_exits_3_without_file(tmp_path):
+    out = tmp_path / "p.csv"
+    code = main(["spectrum", "--mode", "predicted", "--topology", "pm2", "--op", "30:123.4",
+                 "--op", "30:456.7", "--op", "1:1000", "--out", str(out)])
+    assert code == 3
+    assert not out.exists()
+
+
 def test_patch_spec_round_trip():
     patch = PatchSpec.from_json(json.dumps({
         "topology": "pm2", "operators": [[3, 500], [2, 500], [1, 500]],

@@ -3,6 +3,7 @@ import pytest
 
 from fmstack.analysis import AnalysisFrame, measure_dc, measure_spectrum
 from fmstack.operators import (
+    DEFAULT_BLOCK_SIZE,
     Block,
     InstabilityError,
     Operator,
@@ -11,7 +12,7 @@ from fmstack.operators import (
     render_stack,
 )
 from fmstack.pm import PMParams, render_pm2
-from oracles import bessel_series
+from oracles import bessel_series, feedback_fm_ticks
 
 FS = 48000.0
 FIG3 = [(3.0, 500.0), (2.0, 500.0), (1.0, 500.0)]
@@ -74,6 +75,13 @@ def test_block_size_invariance_bitwise():
     assert np.array_equal(a.audio, b.audio)
     assert np.array_equal(a.audio, c.audio)
     assert np.array_equal(a.modulation, b.modulation)
+    # several default-size chunks plus a remainder
+    n = 3 * DEFAULT_BLOCK_SIZE + 17
+    whole = render_stack(FIG3, n, FS, block_size=n)
+    for size in (DEFAULT_BLOCK_SIZE, 7):
+        chunked = render_stack(FIG3, n, FS, block_size=size)
+        assert np.array_equal(chunked.audio, whole.audio)
+        assert np.array_equal(chunked.modulation, whole.modulation)
 
 
 def test_order_reduction_to_single_oscillator():
@@ -127,6 +135,12 @@ def test_stack_alias_rejected():
         render_stack([(1.0, 50000.0)], 64, FS)
 
 
+@pytest.mark.parametrize("params", [[(1.0, np.nan)], [(np.nan, 300.0), (1.0, 440.0)], [(np.inf, 300.0), (1.0, 440.0)]])
+def test_stack_non_finite_frequency_rejected(params):
+    with pytest.raises(ValueError):
+        render_stack(params, 64, FS)
+
+
 def test_feedback_fm_silence():
     blk = render_feedback_fm(0.0, 500.0, 1.0, 256, FS)
     assert np.all(blk.audio == 0.0)
@@ -138,6 +152,25 @@ def test_feedback_fm_divergence_guard():
         render_feedback_fm(1.0, 500.0, 50.0, 4800, FS)
     with pytest.raises(InstabilityError):
         render_feedback_fm(4.0, 500.0, 8.0, 4800, FS)
+
+
+@pytest.mark.parametrize("gain", [0.01, 0.5, 1.0])
+def test_feedback_fm_matches_ticks_bitwise(gain):
+    n = 96 * 64
+    blk = render_feedback_fm(1.0, 500.0, gain, n, FS)
+    ref = feedback_fm_ticks(1.0, 500.0, gain, n, FS)
+    assert np.array_equal(blk.audio, ref.audio)
+    assert np.array_equal(blk.modulation, ref.modulation)
+
+
+# alias guard at samples 1 and 310, |modulation| guard at sample 1
+@pytest.mark.parametrize("amp,freq,gain", [(1.0, 1000.0, 50.0), (1.0, 500.0, 2.0), (15.0, 5000.0, 0.5)])
+def test_feedback_fm_diverges_at_tick_sample(amp, freq, gain):
+    with pytest.raises(InstabilityError) as ref:
+        feedback_fm_ticks(amp, freq, gain, 4800, FS)
+    with pytest.raises(InstabilityError) as got:
+        render_feedback_fm(amp, freq, gain, 4800, FS)
+    assert str(got.value) == str(ref.value)
 
 
 def test_feedback_fm_strong_dc():

@@ -115,6 +115,22 @@ def test_run_matches_tick_bitwise():
     assert vector.phase == serial.phase
 
 
+def test_split_runs_match_tick_across_wrap():
+    # start just below 2**32: the first increment wraps forward, the mostly
+    # negative rest wraps backward several times; split at uneven points
+    table = make_cosine_table(1025)
+    rng = np.random.default_rng(11)
+    increments = rng.integers(-(2**27), 2**25, size=700, dtype=np.int64)
+    increments[0] = 2**26
+    serial = PhaseAccumulator(1025, 48000)
+    vector = PhaseAccumulator(1025, 48000)
+    serial.phase = vector.phase = PHASE_MODULUS - 12345
+    expected = np.array([serial.tick(table, 0.9, int(i)) for i in increments])
+    parts = [vector.run(table, 0.9, chunk) for chunk in np.split(increments, [1, 250, 251, 600])]
+    assert np.array_equal(np.concatenate(parts), expected)
+    assert vector.phase == serial.phase
+
+
 def test_negative_increment_runs_backward():
     table = make_cosine_table(1025)
     fwd = PhaseAccumulator(1025, 48000)
