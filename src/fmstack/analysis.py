@@ -106,20 +106,16 @@ def detect_carrier_drift(
     bin_hz = spec.freqs[1] - spec.freqs[0]
     threshold = mags.max() * 10.0 ** (_PEAK_SELECT_DB / 20.0)
     logm = 20.0 * np.log10(np.maximum(mags, _LOG_GUARD))
-    max_offset = 0.0
-    offenders: list[tuple[float, float]] = []
-    for i in range(2, len(mags) - 1):
-        if mags[i] < threshold or mags[i] <= mags[i - 1] or mags[i] <= mags[i + 1]:
-            continue
-        left, center, right = logm[i - 1], logm[i], logm[i + 1]
-        denom = left - 2.0 * center + right
-        delta = 0.5 * (left - right) / denom if denom != 0.0 else 0.0
-        freq = (i + delta) * bin_hz
-        offset = abs(freq - grid_hz * round(freq / grid_hz))
-        max_offset = max(max_offset, offset)
-        if offset > tolerance_hz:
-            offenders.append((freq, offset))
-    return max_offset, offenders
+    mid = mags[2:-1]
+    i = np.flatnonzero((mid >= threshold) & (mid > mags[1:-2]) & (mid > mags[3:])) + 2
+    left, center, right = logm[i - 1], logm[i], logm[i + 1]
+    denom = left - 2.0 * center + right
+    delta = np.divide(0.5 * (left - right), denom, out=np.zeros(len(i)), where=denom != 0.0)
+    freq = (i + delta) * bin_hz
+    offset = np.abs(freq - grid_hz * np.round(freq / grid_hz))  # half to even, as round()
+    over = offset > tolerance_hz
+    offenders = list(zip(freq[over].tolist(), offset[over].tolist()))
+    return float(offset.max(initial=0.0)), offenders
 
 
 def measure_dc(frame: AnalysisFrame) -> float:

@@ -2,7 +2,8 @@
 
 Downward (Miller) recurrence normalized with J_0 + 2*sum(J_2k) = 1 for the
 general case; the alternating power series covers small arguments and low
-orders where it converges without cancellation.
+orders where it converges without cancellation. Arguments so small that the
+recurrence would overflow take the leading series term, exact there.
 """
 
 import math
@@ -10,6 +11,9 @@ import math
 import numpy as np
 
 _RESCALE = 1e250
+# largest step factor 2k/z the recurrence takes: a value just under _RESCALE
+# times it stays below the double-precision maximum (~1.8e308)
+_MAX_STEP_GROWTH = 1e57
 _SERIES_MAX_Z = 4.0
 _SERIES_MAX_N = 12
 
@@ -43,10 +47,17 @@ def bessel_row(max_order: int, z: float) -> np.ndarray:
     if z == 0.0:
         row[0] = 1.0
         return row
+    start = _miller_start(max_order, z)
+    if z < 2.0 * start / _MAX_STEP_GROWTH:
+        # J_n(z) = (z/2)^n/n! * (1 + O(z^2)), and z^2 is far below double
+        # precision here; the product underflows to 0 where J_n does
+        row[0] = 1.0
+        row[1:] = 0.5 * z / np.arange(1, max_order + 1)
+        return np.cumprod(row)
     j_hi = 0.0  # unnormalized J_{k+1}
     j_k = 1e-30  # seed at the start order
     even_sum = 0.0
-    for k in range(_miller_start(max_order, z), 0, -1):
+    for k in range(start, 0, -1):
         if k <= max_order:
             row[k] = j_k
         if k % 2 == 0:

@@ -6,6 +6,7 @@ computation finished, so a failing run leaves no partial files.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -36,6 +37,7 @@ from .spectrum import (
 
 TOPOLOGIES = ("fm-stack", "fm-stack-naive", "pm1", "pm2", "fm-feedback", "pm-feedback")
 _ARITY = {"pm1": (2, 2), "pm2": (3, 3), "fm-feedback": (1, 1), "pm-feedback": (1, 1)}
+_MAX_SAMPLES = (2**32 - 1 - 36) // 4  # 32-bit float samples a RIFF file's size field can hold
 
 
 class UsageError(Exception):
@@ -68,6 +70,12 @@ class PatchSpec:
             raise UsageError("operator values, feedback gain, sample rate and duration must be finite")
         if self.sample_rate <= 0 or self.duration <= 0:
             raise UsageError("sample rate and duration must be positive")
+        length = self.duration * self.sample_rate
+        if not (math.isfinite(length) and round(length) <= _MAX_SAMPLES):
+            raise UsageError(
+                f"duration {self.duration:g} s at {self.sample_rate:g} Hz is more than "
+                f"the {_MAX_SAMPLES} samples a WAV file can hold"
+            )
         if self.n_samples < 1:
             raise UsageError(f"duration {self.duration:g} s rounds to 0 samples at {self.sample_rate:g} Hz")
 
@@ -314,8 +322,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: parsing leaves the parser unchanged, and the
+    # `append` action of --op copies its default list before appending
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

@@ -39,6 +39,8 @@ def write_wav(path, samples, spec: WavSpec) -> None:
     lossless.
     """
     samples = np.asarray(samples, dtype=np.float64)
+    if 36 + len(samples) * (spec.bit_depth // 8) > 0xFFFFFFFF:
+        raise ValueError(f"{len(samples)} samples overflow the 4 GiB size field of a RIFF file")
     clipped = int(np.count_nonzero((samples < -1.0) | (samples > 1.0)))
     if clipped:
         log.warning("write_wav: clipped %d of %d samples to [-1, 1]", clipped, len(samples))
@@ -75,12 +77,14 @@ def write_spectrum_csv(path, spec: LineSpectrum | MeasuredSpectrum) -> None:
     magnitudes. Output bytes are deterministic for identical inputs.
     """
     if isinstance(spec, LineSpectrum):
-        rows = zip(spec.freqs, spec.amps)
+        values = spec.amps
     elif isinstance(spec, MeasuredSpectrum):
-        rows = zip(spec.freqs, spec.mags)
+        values = spec.mags
     else:
         raise TypeError(f"cannot export {type(spec).__name__} as a spectrum CSV")
+    # Python floats format exactly like the numpy scalars they come from
+    freqs = np.asarray(spec.freqs).tolist()
+    values = np.asarray(values).tolist()
+    body = "".join(map("{:.9g},{:.9g}\n".format, freqs, values))
     with open(path, "w", newline="\n") as fh:
-        fh.write("freq_hz,amplitude\n")
-        for f, a in rows:
-            fh.write(f"{f:.9g},{a:.9g}\n")
+        fh.write("freq_hz,amplitude\n" + body)

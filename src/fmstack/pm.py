@@ -23,6 +23,8 @@ class PMParams:
     def __post_init__(self):
         if len(self.fm) != len(self.z):
             raise ValueError("fm and z must have one entry per modulation order")
+        if not all(math.isfinite(v) for v in (self.fc, *self.fm, *self.z, self.sample_rate)):
+            raise ValueError("fc, fm, z and sample rate must be finite")
         if any(zi < 0 for zi in self.z):
             raise ValueError("modulation indices must be >= 0")
         if self.sample_rate <= 0:

@@ -5,7 +5,9 @@ from math import factorial
 
 import numpy as np
 
+from fmstack.analysis import _LOG_GUARD, _PEAK_SELECT_DB, MeasuredSpectrum
 from fmstack.operators import Block, InstabilityError, Operator
+from fmstack.spectrum import LineSpectrum
 
 
 def bessel_series(n: int, z: float, terms: int = 100) -> float:
@@ -65,3 +67,43 @@ def feedback_fm_ticks(amp, freq_hz, feedback_gain, n_samples, sample_rate, table
         modulation[n] = m
         prev = m
     return Block(audio, modulation, float(sample_rate))
+
+
+def write_spectrum_csv_rows(path, spec):
+    """write_spectrum_csv as one formatted write per row from numpy scalars."""
+    if isinstance(spec, LineSpectrum):
+        rows = zip(spec.freqs, spec.amps)
+    elif isinstance(spec, MeasuredSpectrum):
+        rows = zip(spec.freqs, spec.mags)
+    else:
+        raise TypeError(f"cannot export {type(spec).__name__} as a spectrum CSV")
+    with open(path, "w", newline="\n") as fh:
+        fh.write("freq_hz,amplitude\n")
+        for f, a in rows:
+            fh.write(f"{f:.9g},{a:.9g}\n")
+
+
+def carrier_drift_loop(spec, grid_hz, tolerance_hz):
+    """detect_carrier_drift as a Python loop over every bin."""
+    if grid_hz <= 0:
+        raise ValueError("grid must be positive")
+    mags = spec.mags
+    if len(mags) < 3 or mags.max() <= 0.0:
+        return 0.0, []
+    bin_hz = spec.freqs[1] - spec.freqs[0]
+    threshold = mags.max() * 10.0 ** (_PEAK_SELECT_DB / 20.0)
+    logm = 20.0 * np.log10(np.maximum(mags, _LOG_GUARD))
+    max_offset = 0.0
+    offenders: list[tuple[float, float]] = []
+    for i in range(2, len(mags) - 1):
+        if mags[i] < threshold or mags[i] <= mags[i - 1] or mags[i] <= mags[i + 1]:
+            continue
+        left, center, right = logm[i - 1], logm[i], logm[i + 1]
+        denom = left - 2.0 * center + right
+        delta = 0.5 * (left - right) / denom if denom != 0.0 else 0.0
+        freq = (i + delta) * bin_hz
+        offset = abs(freq - grid_hz * round(freq / grid_hz))
+        max_offset = max(max_offset, offset)
+        if offset > tolerance_hz:
+            offenders.append((freq, offset))
+    return max_offset, offenders

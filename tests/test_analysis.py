@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from fmstack.analysis import (
     AnalysisFrame,
+    MeasuredSpectrum,
     detect_carrier_drift,
     fit_spectral_slope,
     measure_dc,
@@ -10,7 +13,7 @@ from fmstack.analysis import (
 )
 from fmstack.operators import render_feedback_fm, render_naive_stack, render_stack
 from fmstack.pm import PMParams, render_feedback_pm, render_pm1
-from oracles import bessel_series, naive_dft_mags
+from oracles import bessel_series, carrier_drift_loop, naive_dft_mags
 
 FS = 48000.0
 FIG3 = [(3.0, 500.0), (2.0, 500.0), (1.0, 500.0)]
@@ -165,3 +168,24 @@ def test_slope_needs_enough_peaks():
     frame = AnalysisFrame(_tone(500.0, 96 * 16), FS, 500.0)
     with pytest.raises(ValueError):
         fit_spectral_slope(measure_spectrum(frame), 500.0, range(1, 11))
+
+
+# few distinct levels make plateaus (equal neighbours) common
+_levels = st.sampled_from([0.0, 5e-324, 1e-160, 0.003, 0.01, 0.5, 1.0, 7.0])
+_mags = st.one_of(
+    st.lists(_levels, min_size=3, max_size=5),
+    st.lists(st.one_of(_levels, st.floats(0.0, 1e300)), min_size=3, max_size=300),
+)
+
+
+@given(mags=_mags, bin_hz=st.floats(0.01, 100.0), grid_hz=st.floats(0.1, 2000.0),
+       tolerance_hz=st.floats(0.0, 50.0))
+@example(mags=[0.0] * 5, bin_hz=1.0, grid_hz=1.0, tolerance_hz=0.0)
+@example(mags=[0.0, 1.0, 1.0, 1.0, 0.0], bin_hz=1.0, grid_hz=3.0, tolerance_hz=0.0)
+@example(mags=[1.0, 0.0, 0.2, 0.2, 1.0, 0.0], bin_hz=1.0, grid_hz=3.0, tolerance_hz=0.0)
+@example(mags=[1.0, 0.0, 0.0, 0.01, 0.0], bin_hz=1.0, grid_hz=2.0, tolerance_hz=0.0)  # at threshold
+def test_drift_matches_loop_oracle(mags, bin_hz, grid_hz, tolerance_hz):
+    mags = np.array(mags)
+    spec = MeasuredSpectrum(np.arange(len(mags)) * bin_hz, mags, np.zeros(len(mags)))
+    expected = carrier_drift_loop(spec, grid_hz, tolerance_hz)
+    assert detect_carrier_drift(spec, grid_hz, tolerance_hz) == expected

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import jv
 
 from fmstack.bessel import bessel_j, bessel_row
 from oracles import bessel_series
@@ -79,3 +80,20 @@ def test_row_rejects_bad_input():
         bessel_row(-1, 2.0)
     with pytest.raises(ValueError):
         bessel_row(4, -1.0)
+
+
+def test_row_at_tiny_argument_is_the_leading_term():
+    row = bessel_row(3, 1e-200)
+    assert np.all(np.isfinite(row))
+    assert row[0] == 1.0 and row[1] == 5e-201
+    assert np.all(row[2:] == 0.0)  # (z/2)^n/n! underflows
+
+
+@pytest.mark.parametrize("z", np.geomspace(1e-300, 1e3, 61))
+def test_row_matches_scipy(z):
+    ref = jv(np.arange(41), z)
+    row = bessel_row(40, float(z))
+    assert np.abs(row - ref).max() < 1e-12
+    if z <= 1.0:
+        normal = np.abs(ref) > 1e-290
+        assert np.all(np.abs(row - ref)[normal] <= 1e-12 * np.abs(ref[normal]))

@@ -162,6 +162,8 @@ def test_usage_errors_exit_2(argv, tmp_path):
     ["render", "--patch", '{"topology": "fm-stack", "operators": [[NaN, 300], [1, 440]]}'],
     ["render", "--patch", '{"topology": "pm-feedback", "operators": [[1, 500]], "feedback_gain": Infinity}'],
     ["render", "--topology", "fm-stack", "--op", "1:500", "--dur", "0.00001"],  # rounds to 0 samples
+    ["render", "--topology", "fm-stack", "--op", "1:500", "--sr", "1e300", "--dur", "1e300"],  # inf samples
+    ["render", "--topology", "fm-stack", "--op", "1:500", "--sr", "96000", "--dur", "11185"],  # > 4 GiB
 ])
 def test_bad_values_exit_2_without_file(argv, tmp_path):
     out = tmp_path / "x.wav"
@@ -196,3 +198,39 @@ def test_render_16_bit(tmp_path):
     assert main(["render", "--topology", "fm-stack", "--op", "1:500",
                  "--sr", "48000", "--dur", "0.05", "--bits", "16", "--out", str(out)]) == 0
     assert out.stat().st_size == 44 + 2 * 2400
+
+
+def test_patch_length_bound_is_the_riff_limit():
+    # 32-bit float samples: 36 header bytes plus 4 per sample in a uint32 size field
+    last = (2**32 - 1 - 36) // 4
+    assert PatchSpec("fm-stack", [(1.0, 500.0)], sample_rate=1.0, duration=last).n_samples == last
+    with pytest.raises(UsageError):
+        PatchSpec("fm-stack", [(1.0, 500.0)], sample_rate=1.0, duration=last + 1)
+
+
+def _run(argv, tmp_path, capsys):
+    out = tmp_path / "out.bin"
+    out.unlink(missing_ok=True)
+    code = main([str(out) if a == "OUT" else a for a in argv])
+    printed = capsys.readouterr()
+    return code, printed.out, printed.err, out.read_bytes() if out.exists() else None
+
+
+def test_repeated_main_calls_do_not_share_state(tmp_path, capsys):
+    timing = ["--sr", "96000", "--dur", "0.064"]
+    jobs = [
+        ["spectrum", "--topology", "pm2"] + FIG3_OPS + ["--mode", "predicted", "--out", "OUT"],
+        ["spectrum", "--topology", "pm1", "--op", "2:250", "--op", "1:1000", "--mode", "predicted",
+         "--out", "OUT"],
+        ["spectrum", "--topology", "fm-stack", "--op", "1:500"] + timing + ["--out", "OUT"],
+        ["render", "--topology", "fm-stack", "--op", "2:500", "--op", "1:500"] + timing
+        + ["--bits", "16", "--out", "OUT"],
+        ["compare", "--topology-a", "fm-stack-naive", "--topology-b", "pm2"] + FIG3_OPS + timing,
+        ["drift-demo", "--topology", "fm-stack"] + FIG3_OPS + timing + ["--grid-hz", "500"],
+        ["drift-demo", "--topology", "fm-stack", "--op", "1:500", "--sr", "48000", "--dur", "0.1"],
+        ["render", "--topology", "pm1", "--op", "1:440", "--out", "OUT"],  # arity: exit 2
+    ]
+    first = [_run(job, tmp_path, capsys) for job in jobs]
+    assert [r[0] for r in first] == [0, 0, 0, 0, 1, 0, 0, 2]
+    for _ in range(2):
+        assert [_run(job, tmp_path, capsys) for job in reversed(jobs)] == first[::-1]

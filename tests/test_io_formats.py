@@ -3,10 +3,13 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from fmstack.analysis import AnalysisFrame, measure_spectrum
+from fmstack.analysis import AnalysisFrame, MeasuredSpectrum, measure_spectrum
 from fmstack.io_formats import WavSpec, write_spectrum_csv, write_wav
 from fmstack.spectrum import LineSpectrum, predict_second_order
+from oracles import write_spectrum_csv_rows
 
 
 def _read_wav(path):
@@ -104,3 +107,41 @@ def test_csv_measured_spectrum_and_determinism(tmp_path):
 def test_csv_rejects_other_types(tmp_path):
     with pytest.raises(TypeError):
         write_spectrum_csv(tmp_path / "x.csv", [(500.0, 1.0)])
+
+
+def test_wav_rejects_more_samples_than_riff_holds(tmp_path):
+    path = tmp_path / "long.wav"
+    # a zero-stride view: 2**30 samples without allocating them
+    samples = np.broadcast_to(np.float64(0.0), (2**30,))
+    with pytest.raises(ValueError, match="RIFF"):
+        write_wav(path, samples, WavSpec(48000, 32))
+    assert not path.exists()
+
+
+# any float, nan and infinities included, plus signed zeros, subnormals and extremes
+_values = st.one_of(st.floats(), st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, -1e300, 123456789.5]))
+
+
+@st.composite
+def _line_spectra(draw):
+    freqs = draw(st.lists(st.floats(0.0, 1e12), max_size=40, unique=True))
+    amps = draw(st.lists(_values, min_size=len(freqs), max_size=len(freqs)))
+    return LineSpectrum(np.sort(np.array(freqs)), np.array(amps))
+
+
+@st.composite
+def _measured_spectra(draw):
+    n = draw(st.integers(0, 40))
+    freqs = draw(st.lists(_values, min_size=n, max_size=n))
+    mags = draw(st.lists(_values, min_size=n, max_size=n))
+    return MeasuredSpectrum(np.array(freqs), np.array(mags), np.zeros(n))
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(spec=st.one_of(_line_spectra(), _measured_spectra()))
+def test_csv_matches_row_writer_oracle(spec, tmp_path):
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    write_spectrum_csv(new, spec)
+    write_spectrum_csv_rows(old, spec)
+    assert new.read_bytes() == old.read_bytes()

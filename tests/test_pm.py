@@ -56,6 +56,18 @@ def test_pm_params_validation():
         PMParams(500.0, [500.0], [1.0], 0.0)
 
 
+@pytest.mark.parametrize("fc,fm,z,fs", [
+    (float("nan"), [500.0], [float("nan")], FS),
+    (float("inf"), [500.0], [1.0], FS),
+    (500.0, [float("nan")], [1.0], FS),
+    (500.0, [500.0, 300.0], [1.0, float("inf")], FS),
+    (500.0, [500.0], [1.0], float("inf")),
+])
+def test_pm_params_reject_non_finite(fc, fm, z, fs):
+    with pytest.raises(ValueError, match="finite"):
+        PMParams(fc, fm, z, fs)
+
+
 @pytest.mark.parametrize("z0,z1", [(3.0, 2.0), (2.0, 1.0), (1.0, 3.0)])
 def test_pm_has_no_drift(z0, z1):
     n = 96 * 64

@@ -162,3 +162,19 @@ def test_scaled_spectrum():
     spec = predict_first_order(2000.0, 500.0, 1.0).scaled(0.25)
     expected = 0.25 * (bessel_series(0, 1.0) + bessel_series(-8, 1.0))  # n=-8 folds onto 2000
     assert abs(spec.amplitude_at(2000.0) - expected) < 1e-12
+
+
+def test_first_order_tiny_index_is_the_carrier():
+    spec = predict_first_order(500.0, 500.0, 1e-200)
+    assert list(spec.freqs) == [500.0]
+    assert list(spec.amps) == [1.0]
+
+
+def test_second_order_tiny_inner_index_matches_first_order():
+    # one inner sideband's effective index z1*J_k(1e-6) reaches ~1e-62
+    second = predict_second_order(500.0, 500.0, 500.0, 1e-6, 2.0)
+    first = predict_first_order(500.0, 500.0, 2.0)
+    strong = first.freqs[np.abs(first.amps) > 1e-4]
+    assert len(strong) > 5
+    for f in strong:
+        assert abs(second.amplitude_at(f) - first.amplitude_at(f)) < 1e-5
