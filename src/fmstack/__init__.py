@@ -28,6 +28,7 @@ from .spectrum import (
     merge_and_fold,
     predict_first_order,
     predict_second_order,
+    predict_stack,
 )
 from .wavetable import (
     PHASE_BITS,
@@ -65,6 +66,7 @@ __all__ = [
     "merge_and_fold",
     "predict_first_order",
     "predict_second_order",
+    "predict_stack",
     "render_feedback_fm",
     "render_feedback_pm",
     "render_naive_stack",

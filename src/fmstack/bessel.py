@@ -1,9 +1,8 @@
 """Bessel functions of the first kind, integer order.
 
-Downward (Miller) recurrence normalized with J_0 + 2*sum(J_2k) = 1 for the
-general case; the alternating power series covers small arguments and low
-orders where it converges without cancellation. Arguments so small that the
-recurrence would overflow take the leading series term, exact there.
+Downward (Miller) recurrence normalized with J_0 + 2*sum(J_2k) = 1.
+Arguments so small that the recurrence would overflow take the leading
+series term, exact there.
 """
 
 import math
@@ -14,21 +13,6 @@ _RESCALE = 1e250
 # largest step factor 2k/z the recurrence takes: a value just under _RESCALE
 # times it stays below the double-precision maximum (~1.8e308)
 _MAX_STEP_GROWTH = 1e57
-_SERIES_MAX_Z = 4.0
-_SERIES_MAX_N = 12
-
-
-def _series(n: int, z: float) -> float:
-    # sum_k (-1)^k (z/2)^(n+2k) / (k! (n+k)!); safe for z <= 4, n <= 12
-    half = 0.5 * z
-    term = half**n / math.factorial(n)
-    total = term
-    for k in range(1, 200):
-        term *= -(half * half) / (k * (n + k))
-        total += term
-        if abs(term) <= 1e-17 * (abs(total) + 1e-30):
-            break
-    return total
 
 
 def _miller_start(max_order: int, z: float) -> int:
@@ -83,7 +67,4 @@ def bessel_j(n: int, z: float) -> float:
             sign = -sign  # J_{-n} = (-1)^n J_n
         if z < 0:
             sign = -sign  # J_n(-z) = (-1)^n J_n(z)
-    zz = abs(z)
-    if zz <= _SERIES_MAX_Z and order <= _SERIES_MAX_N:
-        return sign * _series(order, zz)
-    return sign * float(bessel_row(order, zz)[order])
+    return sign * float(bessel_row(order, abs(z))[order])

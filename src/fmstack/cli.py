@@ -10,6 +10,7 @@ import functools
 import json
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,20 +29,24 @@ from .operators import (
     render_stack,
 )
 from .pm import PMParams, render_feedback_pm, render_pm1, render_pm2
-from .spectrum import (
-    BudgetExceededError,
-    LineSpectrum,
-    predict_first_order,
-    predict_second_order,
-)
+from .spectrum import BudgetExceededError, LineSpectrum, predict_stack
 
-TOPOLOGIES = ("fm-stack", "fm-stack-naive", "pm1", "pm2", "fm-feedback", "pm-feedback")
-_ARITY = {"pm1": (2, 2), "pm2": (3, 3), "fm-feedback": (1, 1), "pm-feedback": (1, 1)}
 _MAX_SAMPLES = (2**32 - 1 - 36) // 4  # 32-bit float samples a RIFF file's size field can hold
 
 
 class UsageError(Exception):
     pass
+
+
+def _json_number(value, what: str) -> float:
+    # bool is an int subclass, yet `true` is no duration; an integer past the
+    # double range overflows in float()
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise UsageError(f"patch {what} must be a number, got {json.dumps(value)}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise UsageError(f"patch {what} is out of range") from exc
 
 
 @dataclass
@@ -55,9 +60,9 @@ class PatchSpec:
     duration: float = 1.0
 
     def __post_init__(self):
-        if self.topology not in TOPOLOGIES:
+        if not isinstance(self.topology, str) or self.topology not in TOPOLOGIES:
             raise UsageError(f"unknown topology {self.topology!r} (choose from {', '.join(TOPOLOGIES)})")
-        lo, hi = _ARITY.get(self.topology, (1, 64))
+        lo, hi = TOPOLOGIES[self.topology].arity
         if not lo <= len(self.operators) <= hi:
             raise UsageError(
                 f"topology {self.topology} takes {lo} operator(s)"
@@ -83,7 +88,7 @@ class PatchSpec:
     def from_json(cls, text: str) -> "PatchSpec":
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
             raise UsageError(f"bad patch JSON: {exc}") from exc
         if not isinstance(doc, dict) or "topology" not in doc or "operators" not in doc:
             raise UsageError("patch JSON needs at least 'topology' and 'operators'")
@@ -91,12 +96,15 @@ class PatchSpec:
         extra = set(doc) - known
         if extra:
             raise UsageError(f"unknown patch keys: {', '.join(sorted(extra))}")
+        ops = doc["operators"]
+        if not isinstance(ops, list) or not all(isinstance(op, list) and len(op) == 2 for op in ops):
+            raise UsageError("patch 'operators' must be a list of [amp, freq] pairs")
         return cls(
             topology=doc["topology"],
-            operators=[tuple(op) for op in doc["operators"]],
-            feedback_gain=doc.get("feedback_gain", 0.0),
-            sample_rate=doc.get("sample_rate", 48000.0),
-            duration=doc.get("duration", 1.0),
+            operators=[(_json_number(a, "operator value"), _json_number(f, "operator value")) for a, f in ops],
+            feedback_gain=_json_number(doc.get("feedback_gain", 0.0), "feedback_gain"),
+            sample_rate=_json_number(doc.get("sample_rate", 48000.0), "sample_rate"),
+            duration=_json_number(doc.get("duration", 1.0), "duration"),
         )
 
     @property
@@ -104,41 +112,45 @@ class PatchSpec:
         return round(self.duration * self.sample_rate)
 
 
+def _render_pm(patch: PatchSpec) -> np.ndarray:
+    *mods, (amp, fc) = patch.operators
+    params = PMParams(fc, [f for _, f in mods], [z for z, _ in mods], patch.sample_rate)
+    return amp * (render_pm1 if len(mods) == 1 else render_pm2)(params, patch.n_samples)
+
+
+@dataclass(frozen=True)
+class Topology:
+    """Operator count range, renderer, and analytic predictor (None if it has none)."""
+
+    arity: tuple[int, int]
+    render: Callable[[PatchSpec], np.ndarray]
+    predict: Callable[[list], LineSpectrum] | None = None
+
+
+TOPOLOGIES = {
+    "fm-stack": Topology((1, 64), lambda p: render_stack(p.operators, p.n_samples, p.sample_rate).audio,
+                         predict_stack),
+    "fm-stack-naive": Topology((1, 64), lambda p: render_naive_stack(p.operators, p.n_samples, p.sample_rate).audio),
+    "pm1": Topology((2, 2), _render_pm, predict_stack),
+    "pm2": Topology((3, 3), _render_pm, predict_stack),
+    "fm-feedback": Topology((1, 1), lambda p: render_feedback_fm(
+        *p.operators[0], p.feedback_gain, p.n_samples, p.sample_rate).audio),
+    "pm-feedback": Topology((1, 1), lambda p: render_feedback_pm(
+        *p.operators[0], p.feedback_gain, p.n_samples, p.sample_rate)),
+}
+
+
 def render_patch(patch: PatchSpec) -> np.ndarray:
-    """Render the audio signal of a patch with the matching engine."""
-    n = patch.n_samples
-    sr = patch.sample_rate
-    ops = patch.operators
-    if patch.topology == "fm-stack":
-        return render_stack(ops, n, sr).audio
-    if patch.topology == "fm-stack-naive":
-        return render_naive_stack(ops, n, sr).audio
-    if patch.topology == "pm1":
-        (z, fm), (amp, fc) = ops
-        return amp * render_pm1(PMParams(fc, [fm], [z], sr), n)
-    if patch.topology == "pm2":
-        (z0, fm0), (z1, fm1), (amp, fc) = ops
-        return amp * render_pm2(PMParams(fc, [fm0, fm1], [z0, z1], sr), n)
-    if patch.topology == "fm-feedback":
-        ((amp, f),) = ops
-        return render_feedback_fm(amp, f, patch.feedback_gain, n, sr).audio
-    ((amp, f),) = ops
-    return render_feedback_pm(amp, f, patch.feedback_gain, n, sr)
+    """Render the audio signal of a patch with its topology's engine."""
+    return TOPOLOGIES[patch.topology].render(patch)
 
 
 def predict_patch(patch: PatchSpec) -> LineSpectrum:
-    """Analytic line spectrum for first/second-order patches."""
-    ops = patch.operators
-    if patch.topology in ("pm1", "fm-stack", "pm2") and len(ops) == 1:
-        ((amp, fc),) = ops
-        return LineSpectrum(np.array([fc]), np.array([amp]))
-    if patch.topology == "pm1" or (patch.topology == "fm-stack" and len(ops) == 2):
-        (z, fm), (amp, fc) = ops
-        return predict_first_order(fc, fm, z).scaled(amp)
-    if patch.topology == "pm2" or (patch.topology == "fm-stack" and len(ops) == 3):
-        (z0, fm0), (z1, fm1), (amp, fc) = ops
-        return predict_second_order(fc, fm0, fm1, z0, z1).scaled(amp)
-    raise UsageError(f"no analytic prediction for topology {patch.topology} with {len(ops)} operators")
+    """Analytic line spectrum of a patch, for topologies that have one."""
+    predict = TOPOLOGIES[patch.topology].predict
+    if predict is None:
+        raise UsageError(f"no analytic prediction for topology {patch.topology}")
+    return predict(patch.operators)
 
 
 def _grid_hz(patches: list[PatchSpec]) -> float:

@@ -1,9 +1,10 @@
-"""Analytic line spectra of sinusoidal FM/PM.
+"""Analytic line spectra of sinusoidal FM/PM stacks of any depth.
 
-First order: sidebands at fc + n*fm weighted J_n(z). Second order: every
-sideband of the modulated modulator acts as an independent phase-modulation
-component with index z1*J_k(z0); the output spectrum is the convolution of
-the component series. Negative frequencies fold onto positive ones by cosine
+A stack's top operator is one sine component. Phase modulation by a sum of
+sine components is the convolution of one Jacobi-Anger series per
+component: lines at carrier + n*nu weighted J_n(zeta). The lines of each
+level, scaled by that operator's index, are the components of the level
+below. The output's negative frequencies fold onto positive ones by cosine
 symmetry, with signed amplitudes so coincident lines interfere coherently.
 """
 
@@ -88,111 +89,103 @@ def _merge_signed(freqs: np.ndarray, amps: np.ndarray, floor: float):
     amps = amps[order]
     starts = np.flatnonzero(np.concatenate(([True], np.diff(freqs) > MERGE_FREQ_EPS)))
     merged = np.add.reduceat(amps, starts)
-    keep = (np.abs(merged) >= floor) & (np.abs(merged) >= MERGE_AMP_EPS)
+    keep = np.abs(merged) >= floor
     return freqs[starts[keep]], merged[keep]
 
 
 def merge_and_fold(raw_lines) -> LineSpectrum:
     """Fold negative-frequency cosine lines onto positive frequencies and merge.
 
+    `raw_lines` holds (freq, amp) pairs, as a sequence or an (n, 2) array.
     Cosine symmetry keeps the signed amplitude unchanged under folding;
-    frequencies equal within 1e-9 Hz are summed, exact cancellations pruned.
+    frequencies equal within 1e-9 Hz are summed, and sums below
+    MERGE_AMP_EPS (exact cancellations) are dropped.
     """
-    lines = list(raw_lines)
-    if not lines:
-        return LineSpectrum(np.empty(0), np.empty(0))
-    freqs = np.abs(np.array([f for f, _ in lines], dtype=np.float64))
-    amps = np.array([a for _, a in lines], dtype=np.float64)
-    f, a = _merge_signed(freqs, amps, 0.0)
+    lines = raw_lines if isinstance(raw_lines, np.ndarray) else list(raw_lines)
+    lines = np.asarray(lines, dtype=np.float64).reshape(-1, 2)
+    f, a = _merge_signed(np.abs(lines[:, 0]), lines[:, 1], MERGE_AMP_EPS)
     return LineSpectrum(f, a)
-
-
-def predict_first_order(
-    fc: float,
-    fm: float,
-    z: float,
-    max_sideband: int | None = None,
-    amplitude_floor: float = 0.0,
-) -> LineSpectrum:
-    """Sideband lines of single-modulator FM/PM: J_n(z) at fc + n*fm."""
-    if fm <= 0:
-        raise ValueError("modulation frequency must be positive")
-    if z < 0:
-        raise ValueError("modulation index must be >= 0")
-    if max_sideband is None:
-        max_sideband = _sideband_count(z)
-    row = bessel_row(max_sideband, z)
-    lines = []
-    for n in range(-max_sideband, max_sideband + 1):
-        a = row[abs(n)]
-        if n < 0 and (n & 1):
-            a = -a
-        if abs(a) < amplitude_floor:
-            continue
-        lines.append((fc + n * fm, a))
-    return merge_and_fold(lines)
 
 
 def _component_weights(zeta: float, n_max: int) -> np.ndarray:
     """J_n(zeta) for n in [-n_max, n_max], parity handling signed zeta."""
     row = bessel_row(n_max, abs(zeta))
-    n = np.arange(-n_max, n_max + 1)
-    w = row[np.abs(n)].copy()
-    odd = (np.abs(n) & 1) == 1
-    if zeta >= 0:
-        w[odd & (n < 0)] *= -1.0
-    else:
-        w[odd & (n > 0)] *= -1.0
-    return w
+    alternating = row.copy()
+    alternating[1::2] *= -1.0  # (-1)^n J_n(|zeta|) = J_-n(|zeta|) = J_n(-|zeta|)
+    if zeta < 0:
+        return np.concatenate((row[:0:-1], alternating))
+    return np.concatenate((alternating[:0:-1], row))
+
+
+def predict_stack(params, policy: TruncationPolicy | None = None) -> LineSpectrum:
+    """Truncated line spectrum of a modulation stack of any depth.
+
+    `params` holds (index, freq_hz) pairs from the top of the stack down,
+    the last being the carrier's (amplitude, freq_hz), as for `render_stack`.
+    Each operator's output is a sum of signed sine components; phase
+    modulation by that sum is the convolution of one Jacobi-Anger series per
+    component (LeBrun 1977), and the lines it yields, scaled by the
+    operator's index, are the components of the level below. Only the
+    output is folded onto non-negative frequencies.
+
+    `policy.sidebands` sets the top operator's series; every other series
+    takes _sideband_count(|zeta|) sidebands. A level built from more than
+    one component merges coincident lines and drops those below
+    `policy.amplitude_floor` after each convolution; a level expanded from
+    a single component is left whole unless it is the output, whose lines
+    below the floor are dropped. The default floor is 0 for a single
+    modulator and 1e-6 for deeper stacks.
+    """
+    if not params:
+        raise ValueError("a stack needs at least one operator")
+    for z, f in params[:-1]:
+        if f <= 0:
+            raise ValueError("modulation frequencies must be positive")
+        if z < 0:
+            raise ValueError("modulation indices must be >= 0")
+    if policy is None and len(params) > 1:
+        policy = TruncationPolicy.for_index(params[0][0])
+        if len(params) == 2:
+            policy.amplitude_floor = 0.0
+    freqs, amps = np.array([params[0][1]], dtype=np.float64), np.array([1.0])
+    terms = 0
+    for depth, ((z, _), (_, carrier)) in enumerate(zip(params, params[1:]), 2):
+        single = len(freqs) == 1
+        floor = 0.0 if single and depth < len(params) else policy.amplitude_floor
+        components = zip(freqs, z * amps)
+        freqs, amps = np.array([carrier], dtype=np.float64), np.array([1.0])
+        for nu, zeta in components:
+            n_max = policy.sidebands if depth == 2 else _sideband_count(zeta)
+            terms += len(freqs) * (2 * n_max + 1)
+            if terms > EXPANSION_BUDGET:
+                raise BudgetExceededError(
+                    f"expansion grew past {EXPANSION_BUDGET} terms; "
+                    "raise the amplitude floor or reduce the sideband count"
+                )
+            weights = _component_weights(zeta, n_max)
+            nonzero = np.flatnonzero(weights)
+            cand_f = (freqs[:, None] + (nonzero - n_max)[None, :] * nu).ravel()
+            cand_a = (amps[:, None] * weights[nonzero][None, :]).ravel()
+            if single:
+                keep = np.abs(cand_a) >= floor
+                freqs, amps = cand_f[keep], cand_a[keep]
+            else:
+                freqs, amps = _merge_signed(cand_f, cand_a, floor)
+    spectrum = merge_and_fold(np.column_stack((freqs, amps)))
+    spectrum.amps *= params[-1][0]  # the carrier's amplitude
+    return spectrum
+
+
+def predict_first_order(
+    fc: float, fm: float, z: float, max_sideband: int | None = None, amplitude_floor: float = 0.0
+) -> LineSpectrum:
+    """Sideband lines of single-modulator FM/PM: J_n(z) at fc + n*fm."""
+    sidebands = _sideband_count(z) if max_sideband is None else max_sideband
+    return predict_stack([(z, fm), (1.0, fc)], TruncationPolicy(sidebands, amplitude_floor))
 
 
 def predict_second_order(
-    fc: float,
-    fm0: float,
-    fm1: float,
-    z0: float,
-    z1: float,
-    policy: TruncationPolicy | None = None,
+    fc: float, fm0: float, fm1: float, z0: float, z1: float, policy: TruncationPolicy | None = None
 ) -> LineSpectrum:
-    """Truncated line spectrum of a two-stage modulation stack.
-
-    The modulated modulator contributes components at fm1 + k*fm0 with
-    effective indices z1*J_k(z0); their Jacobi-Anger series are convolved,
-    pruning amplitudes below the policy floor as the expansion grows.
-    """
-    if fm0 <= 0 or fm1 <= 0:
-        raise ValueError("modulation frequencies must be positive")
-    if z0 < 0 or z1 < 0:
-        raise ValueError("modulation indices must be >= 0")
-    if policy is None:
-        policy = TruncationPolicy.for_index(z0)
-    k_max = policy.sidebands
-    floor = policy.amplitude_floor
-
-    inner = bessel_row(k_max, z0)
-    freqs = np.array([fc])
-    amps = np.array([1.0])
-    expanded_terms = 0
-    for k in range(-k_max, k_max + 1):
-        jk = inner[abs(k)]
-        if k < 0 and (k & 1):
-            jk = -jk
-        zeta = z1 * jk
-        nu = fm1 + k * fm0  # component frequency; may be negative
-        n_max = _sideband_count(zeta)
-        weights = _component_weights(zeta, n_max)
-        n_values = np.arange(-n_max, n_max + 1)
-        keep = weights != 0.0
-        weights = weights[keep]
-        n_values = n_values[keep]
-        expanded_terms += len(freqs) * len(weights)
-        if expanded_terms > EXPANSION_BUDGET:
-            raise BudgetExceededError(
-                f"expansion grew past {EXPANSION_BUDGET} terms; "
-                "raise the amplitude floor or reduce the sideband count"
-            )
-        cand_f = (freqs[:, None] + n_values[None, :] * nu).ravel()
-        cand_a = (amps[:, None] * weights[None, :]).ravel()
-        freqs, amps = _merge_signed(cand_f, cand_a, floor)
-    f, a = _merge_signed(np.abs(freqs), amps, 0.0)
-    return LineSpectrum(f, a)
+    """Truncated line spectrum of a two-stage modulation stack (see `predict_stack`)."""
+    return predict_stack([(z0, fm0), (z1, fm1), (1.0, fc)], policy)

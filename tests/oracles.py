@@ -7,7 +7,16 @@ import numpy as np
 
 from fmstack.analysis import _LOG_GUARD, _PEAK_SELECT_DB, MeasuredSpectrum
 from fmstack.operators import Block, InstabilityError, Operator
-from fmstack.spectrum import LineSpectrum
+from fmstack.bessel import bessel_row
+from fmstack.spectrum import (
+    EXPANSION_BUDGET,
+    MERGE_AMP_EPS,
+    MERGE_FREQ_EPS,
+    BudgetExceededError,
+    LineSpectrum,
+    TruncationPolicy,
+    _sideband_count,
+)
 
 
 def bessel_series(n: int, z: float, terms: int = 100) -> float:
@@ -107,3 +116,142 @@ def carrier_drift_loop(spec, grid_hz, tolerance_hz):
         if offset > tolerance_hz:
             offenders.append((freq, offset))
     return max_offset, offenders
+
+
+# --- the first- and second-order predictors as written before `predict_stack`
+# replaced them, with the merge helpers they used. `predict_stack` must
+# reproduce their output bit for bit.
+
+
+def _merge_signed(freqs: np.ndarray, amps: np.ndarray, floor: float):
+    """Sum amplitudes of coincident signed frequencies; drop lines below floor."""
+    if len(freqs) == 0:
+        return np.asarray(freqs, dtype=np.float64), np.asarray(amps, dtype=np.float64)
+    order = np.argsort(freqs, kind="stable")
+    freqs = freqs[order]
+    amps = amps[order]
+    starts = np.flatnonzero(np.concatenate(([True], np.diff(freqs) > MERGE_FREQ_EPS)))
+    merged = np.add.reduceat(amps, starts)
+    keep = (np.abs(merged) >= floor) & (np.abs(merged) >= MERGE_AMP_EPS)
+    return freqs[starts[keep]], merged[keep]
+
+
+def merge_and_fold(raw_lines) -> LineSpectrum:
+    """Fold negative-frequency cosine lines onto positive frequencies and merge.
+
+    Cosine symmetry keeps the signed amplitude unchanged under folding;
+    frequencies equal within 1e-9 Hz are summed, exact cancellations pruned.
+    """
+    lines = list(raw_lines)
+    if not lines:
+        return LineSpectrum(np.empty(0), np.empty(0))
+    freqs = np.abs(np.array([f for f, _ in lines], dtype=np.float64))
+    amps = np.array([a for _, a in lines], dtype=np.float64)
+    f, a = _merge_signed(freqs, amps, 0.0)
+    return LineSpectrum(f, a)
+
+
+def predict_first_order(
+    fc: float,
+    fm: float,
+    z: float,
+    max_sideband: int | None = None,
+    amplitude_floor: float = 0.0,
+) -> LineSpectrum:
+    """Sideband lines of single-modulator FM/PM: J_n(z) at fc + n*fm."""
+    if fm <= 0:
+        raise ValueError("modulation frequency must be positive")
+    if z < 0:
+        raise ValueError("modulation index must be >= 0")
+    if max_sideband is None:
+        max_sideband = _sideband_count(z)
+    row = bessel_row(max_sideband, z)
+    lines = []
+    for n in range(-max_sideband, max_sideband + 1):
+        a = row[abs(n)]
+        if n < 0 and (n & 1):
+            a = -a
+        if abs(a) < amplitude_floor:
+            continue
+        lines.append((fc + n * fm, a))
+    return merge_and_fold(lines)
+
+
+def _component_weights(zeta: float, n_max: int) -> np.ndarray:
+    """J_n(zeta) for n in [-n_max, n_max], parity handling signed zeta."""
+    row = bessel_row(n_max, abs(zeta))
+    n = np.arange(-n_max, n_max + 1)
+    w = row[np.abs(n)].copy()
+    odd = (np.abs(n) & 1) == 1
+    if zeta >= 0:
+        w[odd & (n < 0)] *= -1.0
+    else:
+        w[odd & (n > 0)] *= -1.0
+    return w
+
+
+def predict_second_order(
+    fc: float,
+    fm0: float,
+    fm1: float,
+    z0: float,
+    z1: float,
+    policy: TruncationPolicy | None = None,
+) -> LineSpectrum:
+    """Truncated line spectrum of a two-stage modulation stack.
+
+    The modulated modulator contributes components at fm1 + k*fm0 with
+    effective indices z1*J_k(z0); their Jacobi-Anger series are convolved,
+    pruning amplitudes below the policy floor as the expansion grows.
+    """
+    if fm0 <= 0 or fm1 <= 0:
+        raise ValueError("modulation frequencies must be positive")
+    if z0 < 0 or z1 < 0:
+        raise ValueError("modulation indices must be >= 0")
+    if policy is None:
+        policy = TruncationPolicy.for_index(z0)
+    k_max = policy.sidebands
+    floor = policy.amplitude_floor
+
+    inner = bessel_row(k_max, z0)
+    freqs = np.array([fc])
+    amps = np.array([1.0])
+    expanded_terms = 0
+    for k in range(-k_max, k_max + 1):
+        jk = inner[abs(k)]
+        if k < 0 and (k & 1):
+            jk = -jk
+        zeta = z1 * jk
+        nu = fm1 + k * fm0  # component frequency; may be negative
+        n_max = _sideband_count(zeta)
+        weights = _component_weights(zeta, n_max)
+        n_values = np.arange(-n_max, n_max + 1)
+        keep = weights != 0.0
+        weights = weights[keep]
+        n_values = n_values[keep]
+        expanded_terms += len(freqs) * len(weights)
+        if expanded_terms > EXPANSION_BUDGET:
+            raise BudgetExceededError(
+                f"expansion grew past {EXPANSION_BUDGET} terms; "
+                "raise the amplitude floor or reduce the sideband count"
+            )
+        cand_f = (freqs[:, None] + n_values[None, :] * nu).ravel()
+        cand_a = (amps[:, None] * weights[None, :]).ravel()
+        freqs, amps = _merge_signed(cand_f, cand_a, floor)
+    f, a = _merge_signed(np.abs(freqs), amps, 0.0)
+    return LineSpectrum(f, a)
+
+
+def pm_chain(params, n_samples, sample_rate):
+    """Closed-form PM stack of any depth, top (index, freq_hz) pair first.
+
+    amp*cos(2*pi*fc*t + m(t)), where the top operator gives
+    m = z0*sin(2*pi*f0*t) and each operator below it
+    m = z*sin(2*pi*f*t + m), evaluated per sample at t = n/fs.
+    """
+    t = np.arange(n_samples) / sample_rate
+    *modulators, (amp, fc) = params
+    phase = np.zeros(n_samples)
+    for z, f in modulators:
+        phase = z * np.sin(2.0 * np.pi * f * t + phase)
+    return amp * np.cos(2.0 * np.pi * fc * t + phase)

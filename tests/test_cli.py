@@ -52,6 +52,34 @@ def test_spectrum_predicted_unsupported_topology(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("ops", [["--topology", "fm-stack-naive", "--op", "2:500", "--op", "1:500"],
+                                 ["--topology", "pm-feedback", "--op", "1:500", "--feedback-gain", "0.5"]])
+def test_spectrum_predicted_other_unsupported_topologies(ops, tmp_path):
+    out = tmp_path / "x.csv"
+    assert main(["spectrum", *ops, "--mode", "predicted", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_spectrum_predicted_four_operator_stack(tmp_path):
+    out = tmp_path / "p.csv"
+    code = main(["spectrum", "--topology", "fm-stack", "--op", "2:500", "--op", "1.5:500",
+                 "--op", "1:500", "--op", "0.5:500", "--mode", "predicted", "--out", str(out)])
+    assert code == 0
+    rows = out.read_text().strip().split("\n")
+    assert rows[0] == "freq_hz,amplitude"
+    assert len(rows) > 20
+
+
+def test_spectrum_predicted_deep_stack_exceeds_budget(tmp_path):
+    # eight incommensurate operators with indices up to 2 expand past the term budget
+    ops = ["2:101.3", "1.7:233.9", "2:317.1", "1.9:411.7", "2:523.3", "1.8:617.9", "2:733.1", "1:1500.7"]
+    out = tmp_path / "p.csv"
+    code = main(["spectrum", "--topology", "fm-stack", *[a for op in ops for a in ("--op", op)],
+                 "--mode", "predicted", "--out", str(out)])
+    assert code == 3
+    assert not out.exists()
+
+
 def test_spectrum_measured_feedback_fm_dc(tmp_path):
     out = tmp_path / "fb.csv"
     code = main(["spectrum", "--topology", "fm-feedback", "--op", "1:500",
@@ -164,6 +192,13 @@ def test_usage_errors_exit_2(argv, tmp_path):
     ["render", "--topology", "fm-stack", "--op", "1:500", "--dur", "0.00001"],  # rounds to 0 samples
     ["render", "--topology", "fm-stack", "--op", "1:500", "--sr", "1e300", "--dur", "1e300"],  # inf samples
     ["render", "--topology", "fm-stack", "--op", "1:500", "--sr", "96000", "--dur", "11185"],  # > 4 GiB
+    ["render", "--patch", '{"topology": "fm-stack", "operators": [[1, 500]], "sample_rate": "x"}'],
+    ["render", "--patch", '{"topology": "fm-stack", "operators": 5}'],
+    ["render", "--patch", '{"topology": "fm-stack", "operators": [[1]]}'],
+    ["render", "--patch", '{"topology": "fm-stack", "operators": [[1, 500]], "duration": true}'],
+    ["render", "--patch", '{"topology": "fm-stack", "operators": [[1, "500"]]}'],
+    ["render", "--patch", '{"topology": ["fm-stack"], "operators": [[1, 500]]}'],
+    ["render", "--patch", '{"topology": "fm-stack", "operators": [[1, 500]], "duration": 1' + "0" * 400 + "}"],
 ])
 def test_bad_values_exit_2_without_file(argv, tmp_path):
     out = tmp_path / "x.wav"

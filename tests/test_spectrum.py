@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from fmstack.analysis import AnalysisFrame, measure_spectrum
 from fmstack.pm import PMParams, render_pm1, render_pm2
 from fmstack.spectrum import (
@@ -10,8 +13,9 @@ from fmstack.spectrum import (
     merge_and_fold,
     predict_first_order,
     predict_second_order,
+    predict_stack,
 )
-from oracles import bessel_series
+from oracles import bessel_series, pm_chain
 
 
 def test_merge_and_fold_examples():
@@ -178,3 +182,102 @@ def test_second_order_tiny_inner_index_matches_first_order():
     assert len(strong) > 5
     for f in strong:
         assert abs(second.amplitude_at(f) - first.amplitude_at(f)) < 1e-5
+
+
+def _assert_same_lines(a, b):
+    assert np.array_equal(a.freqs, b.freqs)
+    assert np.array_equal(a.amps, b.amps)
+
+
+_INDEX = st.sampled_from([0.0, 1e-200, 1e-9]) | st.floats(0.05, 8.0)
+_FREQ = st.integers(1, 12).map(lambda k: 125.0 * k) | st.floats(20.0, 3000.0)  # commensurate | not
+_POLICY = st.none() | st.builds(
+    TruncationPolicy, st.integers(0, 14), st.sampled_from([1e-14, 1e-10, 1e-6]) | st.floats(1e-14, 1e-2)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    depth=st.integers(1, 3),
+    indices=st.lists(_INDEX, min_size=2, max_size=2),
+    freqs=st.lists(_FREQ, min_size=3, max_size=3),
+    amp=st.sampled_from([1.0, 0.5, -2.0]),
+    policy=_POLICY,
+)
+def test_predict_stack_reproduces_the_first_and_second_order_predictors(depth, indices, freqs, amp, policy):
+    params = list(zip(indices[: depth - 1], freqs[: depth - 1])) + [(amp, freqs[depth - 1])]
+    stack = predict_stack(params, policy)
+    if depth == 1:
+        _assert_same_lines(stack, LineSpectrum(np.array([freqs[0]]), np.array([amp])))
+    elif depth == 2:
+        (z, fm), (_, fc) = params
+        limits = () if policy is None else (policy.sidebands, policy.amplitude_floor)
+        old = oracles.predict_first_order(fc, fm, z, *limits)
+        _assert_same_lines(predict_first_order(fc, fm, z, *limits), old)
+        _assert_same_lines(stack, old.scaled(amp))
+    else:
+        (z0, fm0), (z1, fm1), (_, fc) = params
+        old = oracles.predict_second_order(fc, fm0, fm1, z0, z1, policy)
+        _assert_same_lines(predict_second_order(fc, fm0, fm1, z0, z1, policy), old)
+        _assert_same_lines(stack, old.scaled(amp))
+
+
+def _worst_db_against_pm_chain(params, grid, sample_rate, periods=16):
+    """Largest line error of predict_stack against the DFT of the closed-form PM chain.
+
+    Lines below -60 dB of the strongest line in both spectra are skipped. The
+    sample rate must leave the chain's bandwidth unaliased.
+    """
+    n = round(sample_rate / grid) * periods
+    lines = measure_spectrum(AnalysisFrame(pm_chain(params, n, sample_rate), sample_rate, grid)).mags[::periods]
+    pred = predict_stack(params)
+    floor = max(np.abs(pred.amps).max(), lines.max()) * 1e-3
+    worst, checked = 0.0, 0
+    for k, measured in enumerate(lines):
+        predicted = abs(pred.amplitude_at(k * grid))
+        if max(predicted, measured) < floor:
+            continue
+        worst = max(worst, abs(20.0 * np.log10(predicted / measured)))
+        checked += 1
+    assert checked >= 5
+    return worst
+
+
+@pytest.mark.parametrize("params, grid, sample_rate", [
+    ([(2.0, 500.0), (1.5, 500.0), (1.0, 500.0), (1.0, 500.0)], 500.0, 48000.0),  # folds onto DC
+    ([(1.0, 100.0), (1.0, 200.0), (1.0, 300.0), (0.8, 2000.0)], 100.0, 48000.0),
+    ([(1.5, 150.0), (1.2, 250.0), (1.0, 350.0), (0.8, 450.0), (1.0, 3000.0)], 50.0, 48000.0),
+    # deviation reaches ~60 kHz: 192 kHz aliases, 384 kHz does not
+    ([(3.0, 500.0), (3.0, 500.0), (3.0, 500.0), (3.0, 500.0), (1.0, 500.0)], 500.0, 384000.0),
+])
+def test_deep_stack_matches_pm_chain(params, grid, sample_rate):
+    assert _worst_db_against_pm_chain(params, grid, sample_rate) < 1.0
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    modulators=st.lists(st.tuples(st.floats(0.1, 2.0), st.integers(1, 12)), min_size=3, max_size=4),
+    carrier=st.integers(10, 60),
+)
+def test_deep_stack_matches_pm_chain_on_random_grids(modulators, carrier):
+    params = [(z, 50.0 * k) for z, k in modulators] + [(1.0, 50.0 * carrier)]
+    try:
+        worst = _worst_db_against_pm_chain(params, 50.0, 96000.0)
+    except BudgetExceededError:
+        return  # a documented outcome; the CLI maps it to exit 3
+    assert worst < 1.0
+
+
+def test_predict_stack_validates_its_operators():
+    with pytest.raises(ValueError):
+        predict_stack([])
+    with pytest.raises(ValueError):
+        predict_stack([(1.0, 0.0), (1.0, 500.0), (1.0, 1000.0), (1.0, 1000.0)])
+    with pytest.raises(ValueError):
+        predict_stack([(1.0, 100.0), (-1.0, 500.0), (1.0, 1000.0), (1.0, 1000.0)])
+
+
+def test_predict_stack_budget_bounds_a_huge_index():
+    # the series of index 1e9 would take ~1e9 orders; the budget refuses it first
+    with pytest.raises(BudgetExceededError):
+        predict_stack([(1e9, 500.0), (1.0, 1000.0)])
