@@ -115,7 +115,9 @@ class PatchSpec:
 def _render_pm(patch: PatchSpec) -> np.ndarray:
     *mods, (amp, fc) = patch.operators
     params = PMParams(fc, [f for _, f in mods], [z for z, _ in mods], patch.sample_rate)
-    return amp * (render_pm1 if len(mods) == 1 else render_pm2)(params, patch.n_samples)
+    signal = (render_pm1 if len(mods) == 1 else render_pm2)(params, patch.n_samples)
+    signal *= amp
+    return signal
 
 
 @dataclass(frozen=True)

@@ -34,26 +34,33 @@ class WavSpec:
 def write_wav(path, samples, spec: WavSpec) -> None:
     """Write samples (nominal [-1, 1]) as a RIFF/WAVE file.
 
-    Values outside [-1, 1] are clipped (count goes to the log). The 16-bit
+    Values outside [-1, 1] are clipped (count goes to the log); NaN or
+    infinite samples raise ValueError before the file is opened. The 16-bit
     path rounds to nearest with +1.0 stored as 32767; the float path is
     lossless.
     """
     samples = np.asarray(samples, dtype=np.float64)
     if 36 + len(samples) * (spec.bit_depth // 8) > 0xFFFFFFFF:
         raise ValueError(f"{len(samples)} samples overflow the 4 GiB size field of a RIFF file")
-    clipped = int(np.count_nonzero((samples < -1.0) | (samples > 1.0)))
-    if clipped:
+    # min and max are NaN if any sample is, so one check covers the common
+    # in-range case; only a signal that fails it is scanned again
+    if len(samples) and not (-1.0 <= samples.min() and samples.max() <= 1.0):
+        bad = int(np.count_nonzero(~np.isfinite(samples)))
+        if bad:
+            raise ValueError(f"write_wav: {bad} of {len(samples)} samples are NaN or infinite")
+        clipped = int(np.count_nonzero((samples < -1.0) | (samples > 1.0)))
         log.warning("write_wav: clipped %d of %d samples to [-1, 1]", clipped, len(samples))
-    samples = np.clip(samples, -1.0, 1.0)
+        samples = np.clip(samples, -1.0, 1.0)
     if spec.bit_depth == 16:
         fmt_tag = 1
-        data = np.rint(samples * 32767.0).astype("<i2").tobytes()
+        scaled = samples * 32767.0
+        data = np.rint(scaled, out=scaled).astype("<i2")
     else:
         fmt_tag = 3
-        data = samples.astype("<f4").tobytes()
+        data = samples.astype("<f4")
     bytes_per_sample = spec.bit_depth // 8
     byte_rate = spec.sample_rate * spec.channels * bytes_per_sample
-    header = b"RIFF" + struct.pack("<I", 36 + len(data)) + b"WAVE"
+    header = b"RIFF" + struct.pack("<I", 36 + data.nbytes) + b"WAVE"
     header += b"fmt " + struct.pack(
         "<IHHIIHH",
         16,
@@ -64,10 +71,10 @@ def write_wav(path, samples, spec: WavSpec) -> None:
         spec.channels * bytes_per_sample,
         spec.bit_depth,
     )
-    header += b"data" + struct.pack("<I", len(data))
+    header += b"data" + struct.pack("<I", data.nbytes)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(data)
+        fh.write(memoryview(data))
 
 
 def write_spectrum_csv(path, spec: LineSpectrum | MeasuredSpectrum) -> None:

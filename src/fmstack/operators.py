@@ -7,6 +7,7 @@ the instantaneous frequency, which is what makes operators freely stackable
 without the carrier drift of the naive formulation.
 """
 
+import math
 from array import array
 from dataclasses import dataclass
 
@@ -77,17 +78,29 @@ class Operator:
         naive: bool = False,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Block form: fm is the modulation input (None for a top-of-stack operator)."""
+        sr = self.sample_rate
         if fm is None:
             if n_samples is None:
                 raise ValueError("need n_samples when no modulation input is given")
-            f = np.full(n_samples, float(freq_hz))
-        else:
-            f = freq_hz + np.asarray(fm, dtype=np.float64)
-        if not np.all(np.abs(f) < self.sample_rate):
-            raise ValueError(f"instantaneous frequency aliases at fs={self.sample_rate}")
-        increments = (f * self.acc.freq_scale).astype(np.int64)
+            if not n_samples:  # nothing to render or check, as for an empty fm
+                return np.empty(0), np.empty(0)
+            # a constant frequency: one increment, truncated as in tick()
+            freq = float(freq_hz)
+            if not abs(freq) < sr:
+                raise ValueError(f"instantaneous frequency aliases at fs={sr}")
+            increments = np.full(n_samples, int(freq * self.acc.freq_scale), dtype=np.int64)
+            audio = self.acc.run(self.table, amp, increments)
+            return audio, audio * freq
+        f = freq_hz + np.asarray(fm, dtype=np.float64)
+        # min and max are NaN if any sample is
+        if len(f) and not (-sr < f.min() and f.max() < sr):
+            raise ValueError(f"instantaneous frequency aliases at fs={sr}")
+        # the product truncates toward zero as it is cast into the int64 output
+        increments = np.empty(len(f), dtype=np.int64)
+        np.multiply(f, self.acc.freq_scale, out=increments, casting="unsafe")
         audio = self.acc.run(self.table, amp, increments)
-        modulation = audio * (freq_hz if naive else f)
+        # the modulation output takes over the buffer of f
+        modulation = np.multiply(audio, freq_hz if naive else f, out=f)
         return audio, modulation
 
 
@@ -155,29 +168,34 @@ def render_feedback_fm(
     """
     op = Operator(sample_rate, table)
     # Operator.tick inlined: the loop is serial, so per-sample call and numpy
-    # scalar overhead is the whole cost. Same arithmetic, same guards.
+    # scalar overhead is the whole cost. Same arithmetic, same guards. The
+    # phase register is a float holding an integer in [0, 2**32): every sum
+    # stays below 2**53, so it is exact, and float arithmetic is faster than
+    # Python's two-digit ints for phases past 2**30.
     tab = op.table.tolist()
-    frac_bits, frac_mask = op.acc.frac_bits, op.acc.frac_mask
+    dtab = (op.table[1:] - op.table[:-1]).tolist()
     frac_scale, freq_scale = op.acc.frac_scale, op.acc.freq_scale
-    phase_mask = PHASE_MODULUS - 1
+    modulus = float(PHASE_MODULUS)
     sr = op.sample_rate
     audio = array("d", bytes(8 * n_samples))
     modulation = array("d", bytes(8 * n_samples))
     limit = 10.0 * sample_rate
-    phase = 0
+    neg_sr, neg_limit = -sr, -limit
+    trunc = math.trunc  # int() of a float costs about four times as much
+    phase = 0.0
     prev = 0.0
     for n in range(n_samples):
         f = freq_hz + feedback_gain * prev
-        if not abs(f) < sr:
+        if not neg_sr < f < sr:
             raise InstabilityError(
                 f"feedback FM diverged at sample {n}: instantaneous frequency {f} Hz aliases at fs={sr}"
             )
-        idx = phase >> frac_bits
-        base = tab[idx]
-        s = amp * (base + (phase & frac_mask) * frac_scale * (tab[idx + 1] - base))
-        phase = (phase + int(f * freq_scale)) & phase_mask
+        x = phase * frac_scale
+        i = trunc(x)
+        s = amp * (tab[i] + (x - i) * dtab[i])
+        phase = (phase + trunc(f * freq_scale)) % modulus
         m = s * f
-        if abs(m) > limit:
+        if m > limit or m < neg_limit:
             raise InstabilityError(
                 f"feedback FM diverged at sample {n}: |modulation| {abs(m):.3g} > {limit:.3g}"
             )

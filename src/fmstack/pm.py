@@ -6,9 +6,13 @@ checking the table-based FM engine.
 """
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
+
+# samples per vectorized carrier-phase chunk in render_feedback_pm
+_FEEDBACK_CHUNK = 8192
 
 
 @dataclass
@@ -42,7 +46,14 @@ def render_pm1(params: PMParams, n_samples: int, phase_offset: float = 0.0) -> n
     t = np.arange(n_samples) / params.sample_rate
     wc = 2.0 * np.pi * params.fc
     wm = 2.0 * np.pi * params.fm[0]
-    return np.cos(wc * t + params.z[0] * np.sin(wm * t) + phase_offset)
+    # cos(wc*t + z*sin(wm*t) + phase_offset), evaluated in place
+    mod = wm * t
+    np.sin(mod, out=mod)
+    mod *= params.z[0]
+    t *= wc
+    t += mod
+    t += phase_offset
+    return np.cos(t, out=t)
 
 
 def render_pm2(params: PMParams, n_samples: int) -> np.ndarray:
@@ -54,7 +65,17 @@ def render_pm2(params: PMParams, n_samples: int) -> np.ndarray:
     wm0 = 2.0 * np.pi * params.fm[0]
     wm1 = 2.0 * np.pi * params.fm[1]
     z0, z1 = params.z
-    return np.cos(wc * t + z1 * np.sin(wm1 * t + z0 * np.sin(wm0 * t)))
+    # cos(wc*t + z1*sin(wm1*t + z0*sin(wm0*t))), evaluated in place
+    inner = wm0 * t
+    np.sin(inner, out=inner)
+    inner *= z0
+    mod = wm1 * t
+    mod += inner
+    np.sin(mod, out=mod)
+    mod *= z1
+    t *= wc
+    t += mod
+    return np.cos(t, out=t)
 
 
 def render_feedback_pm(
@@ -64,11 +85,26 @@ def render_feedback_pm(
     n_samples: int,
     sample_rate: float,
 ) -> np.ndarray:
-    """Feedback PM with a one-sample delay: out[n] = amp*cos(w*n/fs + g*out[n-1])."""
-    out = np.empty(n_samples)
+    """Feedback PM with a one-sample delay: out[n] = amp*cos(w*n/fs + g*out[n-1]).
+
+    Non-finite arguments and a non-positive sample rate raise ValueError.
+    """
+    if not all(math.isfinite(v) for v in (amp, freq_hz, feedback_gain, sample_rate)):
+        raise ValueError("amp, frequency, feedback gain and sample rate must be finite")
+    if sample_rate <= 0:
+        raise ValueError("sample rate must be positive")
+    if n_samples < 0:
+        raise ValueError("sample count must be >= 0")
     w = 2.0 * math.pi * freq_hz
+    cos = math.cos
+    out = array("d")
+    append = out.append
     prev = 0.0
-    for n in range(n_samples):
-        prev = amp * math.cos(w * (n / sample_rate) + feedback_gain * prev)
-        out[n] = prev
-    return out
+    # the carrier phase w*(n/fs) is vectorized a chunk at a time; the
+    # recurrence through prev stays a scalar loop over Python floats
+    for start in range(0, n_samples, _FEEDBACK_CHUNK):
+        n = np.arange(start, min(start + _FEEDBACK_CHUNK, n_samples))
+        for wt in (w * (n / sample_rate)).tolist():
+            prev = amp * cos(wt + feedback_gain * prev)
+            append(prev)
+    return np.frombuffer(out)

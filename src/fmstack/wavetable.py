@@ -72,18 +72,26 @@ class PhaseAccumulator:
 
         The phases are a uint32 running sum seeded with the current phase, so
         the 2**32 wrap is the integer arithmetic itself, at any run length.
+        Interpolation reads a difference table: dtab[idx] is exactly the
+        table[idx + 1] - table[idx] that tick() computes.
         """
-        inc = np.asarray(increments, dtype=np.int64).astype(np.uint32)
+        inc = np.asarray(increments, dtype=np.int64)
         if len(inc) == 0:
             return np.empty(0, dtype=np.float64)
         phases = np.empty(len(inc), dtype=np.uint32)
         phases[0] = self.phase
-        phases[1:] = inc[:-1]
-        np.cumsum(phases, dtype=np.uint32, out=phases)
-        idx = (phases >> self.frac_bits).astype(np.intp)
-        frac = (phases & self.frac_mask) * self.frac_scale
-        base = table[idx]
-        out = amp * (base + frac * (table[idx + 1] - base))
+        phases[1:] = inc[:-1]  # the uint32 cast wraps negative increments
+        np.add.accumulate(phases, dtype=np.uint32, out=phases)
+        # phase / 2**frac_bits is exact in float64: its integer part is the
+        # table index, the rest the fraction (phase & frac_mask) * frac_scale
+        x = phases * self.frac_scale
+        whole = np.floor(x)
+        idx = whole.astype(np.intp)
+        x -= whole
+        out = np.subtract(table[1:], table[:-1])[idx]
+        out *= x
+        out += table[idx]
+        out *= amp
         # Python ints: numpy uint32 scalar addition warns on overflow
         self.phase = (int(phases[-1]) + int(inc[-1])) & _PHASE_MASK
         return out

@@ -1,5 +1,9 @@
 """Independent brute-force oracles for the test suite; never used by the package."""
 
+import logging
+import math
+import struct
+from array import array
 from fractions import Fraction
 from math import factorial
 
@@ -17,6 +21,7 @@ from fmstack.spectrum import (
     TruncationPolicy,
     _sideband_count,
 )
+from fmstack.wavetable import _PHASE_MASK, PHASE_MODULUS
 
 
 def bessel_series(n: int, z: float, terms: int = 100) -> float:
@@ -255,3 +260,170 @@ def pm_chain(params, n_samples, sample_rate):
     for z, f in modulators:
         phase = z * np.sin(2.0 * np.pi * f * t + phase)
     return amp * np.cos(2.0 * np.pi * fc * t + phase)
+
+
+# --- the render kernels as written before the difference-table oscillator,
+# the float phase register of feedback FM, the chunked feedback PM, the
+# in-place PM renders and the one-pass WAV range check. The package's
+# kernels must reproduce their output bit for bit. The bodies are verbatim;
+# the two methods take the accumulator or operator as `self`, and the
+# process copy calls the run copy.
+
+log = logging.getLogger("oracles")
+
+
+def phase_accumulator_run(self, table: np.ndarray, amp: float, increments: np.ndarray) -> np.ndarray:
+    """PhaseAccumulator.run, called with the accumulator as `self`."""
+    inc = np.asarray(increments, dtype=np.int64).astype(np.uint32)
+    if len(inc) == 0:
+        return np.empty(0, dtype=np.float64)
+    phases = np.empty(len(inc), dtype=np.uint32)
+    phases[0] = self.phase
+    phases[1:] = inc[:-1]
+    np.cumsum(phases, dtype=np.uint32, out=phases)
+    idx = (phases >> self.frac_bits).astype(np.intp)
+    frac = (phases & self.frac_mask) * self.frac_scale
+    base = table[idx]
+    out = amp * (base + frac * (table[idx + 1] - base))
+    # Python ints: numpy uint32 scalar addition warns on overflow
+    self.phase = (int(phases[-1]) + int(inc[-1])) & _PHASE_MASK
+    return out
+
+
+def operator_process(
+    self,
+    amp: float,
+    freq_hz: float,
+    fm: np.ndarray | None = None,
+    n_samples: int | None = None,
+    naive: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Operator.process, called with the operator as `self`."""
+    if fm is None:
+        if n_samples is None:
+            raise ValueError("need n_samples when no modulation input is given")
+        f = np.full(n_samples, float(freq_hz))
+    else:
+        f = freq_hz + np.asarray(fm, dtype=np.float64)
+    if not np.all(np.abs(f) < self.sample_rate):
+        raise ValueError(f"instantaneous frequency aliases at fs={self.sample_rate}")
+    increments = (f * self.acc.freq_scale).astype(np.int64)
+    audio = phase_accumulator_run(self.acc, self.table, amp, increments)
+    modulation = audio * (freq_hz if naive else f)
+    return audio, modulation
+
+
+def feedback_fm_int_phase(
+    amp: float,
+    freq_hz: float,
+    feedback_gain: float,
+    n_samples: int,
+    sample_rate: float,
+    table: np.ndarray | None = None,
+) -> Block:
+    """render_feedback_fm with its phase register as a Python int."""
+    op = Operator(sample_rate, table)
+    # Operator.tick inlined: the loop is serial, so per-sample call and numpy
+    # scalar overhead is the whole cost. Same arithmetic, same guards.
+    tab = op.table.tolist()
+    frac_bits, frac_mask = op.acc.frac_bits, op.acc.frac_mask
+    frac_scale, freq_scale = op.acc.frac_scale, op.acc.freq_scale
+    phase_mask = PHASE_MODULUS - 1
+    sr = op.sample_rate
+    audio = array("d", bytes(8 * n_samples))
+    modulation = array("d", bytes(8 * n_samples))
+    limit = 10.0 * sample_rate
+    phase = 0
+    prev = 0.0
+    for n in range(n_samples):
+        f = freq_hz + feedback_gain * prev
+        if not abs(f) < sr:
+            raise InstabilityError(
+                f"feedback FM diverged at sample {n}: instantaneous frequency {f} Hz aliases at fs={sr}"
+            )
+        idx = phase >> frac_bits
+        base = tab[idx]
+        s = amp * (base + (phase & frac_mask) * frac_scale * (tab[idx + 1] - base))
+        phase = (phase + int(f * freq_scale)) & phase_mask
+        m = s * f
+        if abs(m) > limit:
+            raise InstabilityError(
+                f"feedback FM diverged at sample {n}: |modulation| {abs(m):.3g} > {limit:.3g}"
+            )
+        audio[n] = s
+        modulation[n] = m
+        prev = m
+    return Block(np.frombuffer(audio), np.frombuffer(modulation), float(sample_rate))
+
+
+def feedback_pm_loop(
+    amp: float,
+    freq_hz: float,
+    feedback_gain: float,
+    n_samples: int,
+    sample_rate: float,
+) -> np.ndarray:
+    """render_feedback_pm as one scalar loop over the whole render."""
+    out = np.empty(n_samples)
+    w = 2.0 * math.pi * freq_hz
+    prev = 0.0
+    for n in range(n_samples):
+        prev = amp * math.cos(w * (n / sample_rate) + feedback_gain * prev)
+        out[n] = prev
+    return out
+
+
+def pm1_expression(params, n_samples: int, phase_offset: float = 0.0) -> np.ndarray:
+    """render_pm1 as one numpy expression."""
+    if len(params.fm) != 1:
+        raise ValueError("render_pm1 needs exactly one modulation order")
+    t = np.arange(n_samples) / params.sample_rate
+    wc = 2.0 * np.pi * params.fc
+    wm = 2.0 * np.pi * params.fm[0]
+    return np.cos(wc * t + params.z[0] * np.sin(wm * t) + phase_offset)
+
+
+def pm2_expression(params, n_samples: int) -> np.ndarray:
+    """render_pm2 as one numpy expression."""
+    if len(params.fm) != 2:
+        raise ValueError("render_pm2 needs exactly two modulation orders")
+    t = np.arange(n_samples) / params.sample_rate
+    wc = 2.0 * np.pi * params.fc
+    wm0 = 2.0 * np.pi * params.fm[0]
+    wm1 = 2.0 * np.pi * params.fm[1]
+    z0, z1 = params.z
+    return np.cos(wc * t + z1 * np.sin(wm1 * t + z0 * np.sin(wm0 * t)))
+
+
+def write_wav_clip_copy(path, samples, spec) -> None:
+    """write_wav with an unconditional np.clip copy and .tobytes() buffers."""
+    samples = np.asarray(samples, dtype=np.float64)
+    if 36 + len(samples) * (spec.bit_depth // 8) > 0xFFFFFFFF:
+        raise ValueError(f"{len(samples)} samples overflow the 4 GiB size field of a RIFF file")
+    clipped = int(np.count_nonzero((samples < -1.0) | (samples > 1.0)))
+    if clipped:
+        log.warning("write_wav: clipped %d of %d samples to [-1, 1]", clipped, len(samples))
+    samples = np.clip(samples, -1.0, 1.0)
+    if spec.bit_depth == 16:
+        fmt_tag = 1
+        data = np.rint(samples * 32767.0).astype("<i2").tobytes()
+    else:
+        fmt_tag = 3
+        data = samples.astype("<f4").tobytes()
+    bytes_per_sample = spec.bit_depth // 8
+    byte_rate = spec.sample_rate * spec.channels * bytes_per_sample
+    header = b"RIFF" + struct.pack("<I", 36 + len(data)) + b"WAVE"
+    header += b"fmt " + struct.pack(
+        "<IHHIIHH",
+        16,
+        fmt_tag,
+        spec.channels,
+        spec.sample_rate,
+        byte_rate,
+        spec.channels * bytes_per_sample,
+        spec.bit_depth,
+    )
+    header += b"data" + struct.pack("<I", len(data))
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(data)

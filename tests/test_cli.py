@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from fmstack.cli import PatchSpec, UsageError, main, render_patch
+from fmstack.cli import TOPOLOGIES, PatchSpec, Topology, UsageError, main, render_patch
 
 FIG3_OPS = ["--op", "3:500", "--op", "2:500", "--op", "1:500"]
 
@@ -154,6 +154,16 @@ def test_instability_exits_3_without_file(tmp_path):
     code = main(["render", "--topology", "fm-feedback", "--op", "1:500",
                  "--feedback-gain", "50", "--sr", "48000", "--dur", "0.1", "--out", str(out)])
     assert code == 3
+    assert not out.exists()
+
+
+def test_non_finite_render_exits_3_without_file(tmp_path, monkeypatch, capsys):
+    # no valid patch renders NaN today; a renderer that does must not reach the file
+    monkeypatch.setitem(TOPOLOGIES, "pm-feedback", Topology((1, 1), lambda p: np.full(p.n_samples, np.nan)))
+    out = tmp_path / "nan.wav"
+    code = main(["render", "--topology", "pm-feedback", "--op", "1:500", "--dur", "0.01", "--out", str(out)])
+    assert code == 3
+    assert "NaN or infinite" in capsys.readouterr().err
     assert not out.exists()
 
 

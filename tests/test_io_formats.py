@@ -3,13 +3,13 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fmstack.analysis import AnalysisFrame, MeasuredSpectrum, measure_spectrum
 from fmstack.io_formats import WavSpec, write_spectrum_csv, write_wav
 from fmstack.spectrum import LineSpectrum, predict_second_order
-from oracles import write_spectrum_csv_rows
+from oracles import write_spectrum_csv_rows, write_wav_clip_copy
 
 
 def _read_wav(path):
@@ -145,3 +145,39 @@ def test_csv_matches_row_writer_oracle(spec, tmp_path):
     write_spectrum_csv(new, spec)
     write_spectrum_csv_rows(old, spec)
     assert new.read_bytes() == old.read_bytes()
+
+
+# finite samples in and out of range, with the 16-bit rounding ties, full
+# scale, signed zeros and subnormals
+_samples = st.lists(st.one_of(
+    st.floats(-1.0, 1.0),
+    st.floats(-1e300, 1e300),
+    st.integers(-32767, 32767).map(lambda k: (k + 0.5) / 32767.0),
+    st.sampled_from([1.0, -1.0, 0.0, -0.0, 5e-324, np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0)]),
+), max_size=300)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(samples=_samples, bits=st.sampled_from([16, 32]))
+@example(samples=[], bits=16)
+@example(samples=[0.5, 1.5, -2.0, 1.0, -1.0], bits=16)
+def test_wav_bytes_match_clip_copy_oracle(samples, bits, tmp_path):
+    new, old = tmp_path / "new.wav", tmp_path / "old.wav"
+    write_wav(new, np.array(samples, dtype=np.float64), WavSpec(48000, bits))
+    write_wav_clip_copy(old, np.array(samples, dtype=np.float64), WavSpec(48000, bits))
+    assert new.read_bytes() == old.read_bytes()
+
+
+def test_wav_leaves_caller_samples_unchanged(tmp_path):
+    samples = np.array([0.25, 1.5, -2.0])
+    write_wav(tmp_path / "a.wav", samples, WavSpec(48000, 16))
+    assert samples.tolist() == [0.25, 1.5, -2.0]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bits", [16, 32])
+def test_wav_rejects_non_finite_samples_without_file(bad, bits, tmp_path):
+    path = tmp_path / "bad.wav"
+    with pytest.raises(ValueError, match="1 of 4 samples are NaN or infinite"):
+        write_wav(path, np.array([0.0, 0.5, bad, 2.0]), WavSpec(48000, bits))
+    assert not path.exists()

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fmstack.analysis import AnalysisFrame, detect_carrier_drift, measure_spectrum
 from fmstack.pm import PMParams, render_feedback_pm, render_pm1, render_pm2
-from oracles import bessel_series
+from oracles import bessel_series, feedback_pm_loop, pm1_expression, pm2_expression
 
 FS = 48000.0
 
@@ -116,3 +118,51 @@ def test_feedback_pm_harmonics_decay():
     harm = lines[1:11]
     for k in range(1, 9):  # harmonics 2..10
         assert harm[k] > harm[k + 1]
+
+
+_freqs = st.floats(-20000.0, 20000.0)
+_indices = st.floats(0.0, 50.0)
+_rates = st.sampled_from([8000.0, 44100.0, 48000.0, 96000.0, 12345.678])
+
+
+@given(fc=_freqs, fm=_freqs, z=_indices, sr=_rates, n=st.integers(0, 2000), offset=st.floats(-10.0, 10.0))
+def test_pm1_matches_expression_oracle_bitwise(fc, fm, z, sr, n, offset):
+    params = PMParams(fc, [fm], [z], sr)
+    assert render_pm1(params, n, offset).tobytes() == pm1_expression(params, n, offset).tobytes()
+
+
+@given(fc=_freqs, fm=st.lists(_freqs, min_size=2, max_size=2), z=st.lists(_indices, min_size=2, max_size=2),
+       sr=_rates, n=st.integers(0, 2000))
+def test_pm2_matches_expression_oracle_bitwise(fc, fm, z, sr, n):
+    params = PMParams(fc, fm, z, sr)
+    assert render_pm2(params, n).tobytes() == pm2_expression(params, n).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    amp=st.floats(-4.0, 4.0),
+    freq=_freqs,
+    gain=st.floats(-5.0, 5.0),
+    sr=st.one_of(_rates, st.integers(1000, 200000)),
+    n=st.one_of(st.integers(0, 300), st.sampled_from([8191, 8192, 8193, 16385, 20000])),
+)
+@example(amp=1.0, freq=500.0, gain=1.0, sr=48000.0, n=8192 * 2 + 1)
+def test_feedback_pm_matches_scalar_loop_oracle_bitwise(amp, freq, gain, sr, n):
+    assert render_feedback_pm(amp, freq, gain, n, sr).tobytes() == feedback_pm_loop(amp, freq, gain, n, sr).tobytes()
+
+
+@pytest.mark.parametrize("amp,freq,gain,sr", [
+    (float("nan"), 500.0, 1.0, FS),
+    (float("inf"), 500.0, 1.0, FS),
+    (1.0, float("nan"), 1.0, FS),
+    (1.0, float("-inf"), 1.0, FS),
+    (1.0, 500.0, float("nan"), FS),
+    (1.0, 500.0, float("inf"), FS),
+    (1.0, 500.0, 1.0, float("nan")),
+    (1.0, 500.0, 1.0, float("inf")),
+    (1.0, 500.0, 1.0, 0.0),
+    (1.0, 500.0, 1.0, -48000.0),
+])
+def test_feedback_pm_rejects_bad_arguments(amp, freq, gain, sr):
+    with pytest.raises(ValueError):
+        render_feedback_pm(amp, freq, gain, 64, sr)

@@ -1,0 +1,56 @@
+"""Every `fmstack` command of the README's CLI block runs as documented."""
+
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from fmstack.cli import main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _cli_commands() -> list[tuple[list[str], int]]:
+    """(argv without the program name, expected exit code) per command.
+
+    A command starts on a line beginning with `fmstack` and runs on while a
+    line ends in a backslash or a quote is still open. A trailing comment
+    `# exits N` gives its exit code; the default is 0.
+    """
+    text = README.read_text()
+    block = re.search(r"^## CLI\n.*?^```sh\n(.*?)^```", text, re.S | re.M).group(1)
+    commands = []
+    pending = None
+    for line in block.splitlines():
+        if pending is None:
+            if not line.startswith("fmstack "):
+                continue
+            pending = line
+        else:
+            pending += "\n" + line
+        if pending.endswith("\\"):
+            pending = pending[:-1]
+            continue
+        try:
+            argv = shlex.split(pending, comments=True)
+        except ValueError:  # a quoted JSON patch spans lines
+            continue
+        code = re.search(r"#\s*exits (\d+)", pending)
+        commands.append((argv[1:], int(code.group(1)) if code else 0))
+        pending = None
+    assert pending is None, f"unterminated README command: {pending!r}"
+    return commands
+
+
+COMMANDS = _cli_commands()
+
+
+def test_readme_lists_every_subcommand():
+    assert {argv[0] for argv, _ in COMMANDS} == {"render", "spectrum", "compare", "drift-demo"}
+
+
+@pytest.mark.parametrize("argv,code", COMMANDS, ids=[" ".join(argv)[:60] for argv, _ in COMMANDS])
+def test_readme_command(argv, code, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == code

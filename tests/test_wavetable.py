@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from fmstack.wavetable import (
     PHASE_MODULUS,
@@ -7,6 +9,7 @@ from fmstack.wavetable import (
     freq_to_increment,
     make_cosine_table,
 )
+from oracles import phase_accumulator_run
 
 
 def test_cosine_table_endpoints():
@@ -141,3 +144,33 @@ def test_negative_increment_runs_backward():
     down = bwd.run(table, 1.0, np.full(n, -inc, dtype=np.int64))
     # cosine is even, so reversing phase direction gives the same samples
     assert np.abs(up - down).max() < 1e-5
+
+
+# phases anywhere, with extra weight just below the 2**32 wrap
+_phases = st.one_of(st.integers(0, PHASE_MODULUS - 1), st.integers(PHASE_MODULUS - 2**20, PHASE_MODULUS - 1))
+# increments of either sign up to a full cycle, plus the 2**31 edges
+_increments = st.one_of(
+    st.integers(-(PHASE_MODULUS - 1), PHASE_MODULUS - 1),
+    st.integers(-(2**20), 2**20),
+    st.sampled_from([0, 1, -1, 2**31 - 1, 2**31, -(2**31), -(2**31) - 1]),
+)
+
+
+@given(
+    size=st.sampled_from([17, 1025, 4097]),
+    phase=_phases,
+    amp=st.floats(-1e6, 1e6),
+    runs=st.lists(st.lists(_increments, max_size=300), min_size=1, max_size=4),
+)
+@example(size=1025, phase=PHASE_MODULUS - 1, amp=1.0, runs=[[1, -2, 2**31, -(2**31)], [PHASE_MODULUS - 1]])
+def test_run_matches_pre_difference_table_oracle_bitwise(size, phase, amp, runs):
+    table = make_cosine_table(size)
+    new = PhaseAccumulator(size, 48000)
+    old = PhaseAccumulator(size, 48000)
+    new.phase = old.phase = phase
+    for run in runs:
+        increments = np.array(run, dtype=np.int64)
+        got = new.run(table, amp, increments)
+        want = phase_accumulator_run(old, table, amp, increments)
+        assert got.tobytes() == want.tobytes()
+        assert new.phase == old.phase
