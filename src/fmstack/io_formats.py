@@ -89,9 +89,9 @@ def write_spectrum_csv(path, spec: LineSpectrum | MeasuredSpectrum) -> None:
         values = spec.mags
     else:
         raise TypeError(f"cannot export {type(spec).__name__} as a spectrum CSV")
-    # Python floats format exactly like the numpy scalars they come from
-    freqs = np.asarray(spec.freqs).tolist()
-    values = np.asarray(values).tolist()
-    body = "".join(map("{:.9g},{:.9g}\n".format, freqs, values))
+    # Python floats format exactly like the numpy scalars they come from;
+    # one % over the interleaved columns formats the whole body
+    cells = np.column_stack((spec.freqs, values)).ravel().tolist()
+    body = ("%.9g,%.9g\n" * (len(cells) // 2)) % tuple(cells)
     with open(path, "w", newline="\n") as fh:
         fh.write("freq_hz,amplitude\n" + body)

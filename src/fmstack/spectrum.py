@@ -67,7 +67,7 @@ class TruncationPolicy:
     def __post_init__(self):
         if self.sidebands < 0:
             raise ValueError("sideband count must be >= 0")
-        if self.amplitude_floor < 0:
+        if not self.amplitude_floor >= 0:  # also rejects NaN
             raise ValueError("amplitude floor must be >= 0")
 
     @classmethod
@@ -77,6 +77,8 @@ class TruncationPolicy:
 
 def _sideband_count(z: float) -> int:
     # Carson-style significant-sideband rule with safety margin
+    if not math.isfinite(z):
+        raise ValueError("modulation indices must be finite")
     return int(math.ceil(abs(z))) + 8
 
 
@@ -117,6 +119,76 @@ def _component_weights(zeta: float, n_max: int) -> np.ndarray:
     return np.concatenate((alternating[:0:-1], row))
 
 
+class _Buffers:
+    """Work arrays of one `predict_stack` call, grown geometrically and reused.
+
+    Reuse keeps each merge from freeing its full-size temporaries and
+    faulting fresh pages back in at the next one.
+    """
+
+    def __init__(self):
+        self._arrays = {}
+
+    def get(self, name: str, size: int, dtype=np.float64) -> np.ndarray:
+        buf = self._arrays.get(name)
+        if buf is None or len(buf) < size:
+            buf = np.empty(size if buf is None else max(size, 2 * len(buf)), dtype)
+            self._arrays[name] = buf
+        return buf[:size]
+
+
+def _merge_convolution(freqs, amps, orders, weights, nu, floor, buf: _Buffers):
+    """`_merge_signed` of the candidates freqs[i] + orders[k]*nu, amps[i]*weights[k], bit for bit.
+
+    `freqs` must be sorted (a merge's output is). The candidates are laid out
+    column by column: column k is the sorted run freqs + orders[k]*nu, so
+    the stable argsort merges presorted runs. Putting the columns in
+    descending k when nu > 0, ascending otherwise, makes exactly equal
+    candidates come out in the row-major (i, k) order in which
+    `_merge_signed` sums them: equal sums from rows i < j need the larger
+    offset on row i. Rounding can break that, so each exact tie is checked:
+    its row index must rise, or stay equal only with ascending columns.
+    Where it does not, or a candidate is NaN, the row-major candidates go
+    to `_merge_signed` instead.
+    """
+    n, k = len(freqs), len(orders)
+    m = n * k
+    if m == 0:
+        return np.empty(0), np.empty(0)
+    descending = nu > 0
+    if descending:
+        orders, weights = orders[::-1], weights[::-1]
+    cand_f = buf.get("cand_f", m)
+    cand_a = buf.get("cand_a", m)
+    np.add((orders * nu)[:, None], freqs[None, :], out=cand_f.reshape(k, n))
+    np.multiply(weights[:, None], amps[None, :], out=cand_a.reshape(k, n))
+    order = np.argsort(cand_f, kind="stable")
+    # mode="clip" writes straight into `out`; "raise" would buffer a copy
+    sorted_f = np.take(cand_f, order, out=buf.get("sorted_f", m), mode="clip")
+    tie = np.equal(sorted_f[1:], sorted_f[:-1], out=buf.get("tie", m - 1, np.bool_))
+    broken = math.isnan(sorted_f[-1])  # NaNs sort last
+    if not broken and tie.any():
+        rows = np.remainder(order, n, out=buf.get("rows", m, order.dtype))
+        falls = np.less_equal if descending else np.less
+        bad = falls(rows[1:], rows[:-1], out=buf.get("bad", m - 1, np.bool_))
+        broken = bool(np.logical_and(bad, tie, out=bad).any())
+    if broken:
+        columns = slice(None, None, -1) if descending else slice(None)
+        return _merge_signed(
+            cand_f.reshape(k, n)[columns].T.ravel(), cand_a.reshape(k, n)[columns].T.ravel(), floor
+        )
+    sorted_a = np.take(cand_a, order, out=buf.get("sorted_a", m), mode="clip")
+    new_line = buf.get("new_line", m, np.bool_)
+    new_line[0] = True
+    # cand_f is free once sorted: it holds the gaps
+    gaps = np.subtract(sorted_f[1:], sorted_f[:-1], out=cand_f[: m - 1])
+    np.greater(gaps, MERGE_FREQ_EPS, out=new_line[1:])
+    starts = np.flatnonzero(new_line)
+    merged = np.add.reduceat(sorted_a, starts)
+    keep = np.abs(merged) >= floor
+    return sorted_f[starts[keep]], merged[keep]
+
+
 def predict_stack(params, policy: TruncationPolicy | None = None) -> LineSpectrum:
     """Truncated line spectrum of a modulation stack of any depth.
 
@@ -135,9 +207,17 @@ def predict_stack(params, policy: TruncationPolicy | None = None) -> LineSpectru
     a single component is left whole unless it is the output, whose lines
     below the floor are dropped. The default floor is 0 for a single
     modulator and 1e-6 for deeper stacks.
+
+    Each merge sorts its candidates as presorted runs, one per order of the
+    series, and gives the bits `_merge_signed` gives on the row-major
+    candidates; it falls back to that where rounding breaks the tie order
+    (see `_merge_convolution`). Its work arrays live for this call only.
+    Non-finite indices, frequencies or carrier amplitude raise ValueError.
     """
     if not params:
         raise ValueError("a stack needs at least one operator")
+    if not all(math.isfinite(v) for pair in params for v in pair):
+        raise ValueError("indices, frequencies and the carrier amplitude must be finite")
     for z, f in params[:-1]:
         if f <= 0:
             raise ValueError("modulation frequencies must be positive")
@@ -149,6 +229,7 @@ def predict_stack(params, policy: TruncationPolicy | None = None) -> LineSpectru
             policy.amplitude_floor = 0.0
     freqs, amps = np.array([params[0][1]], dtype=np.float64), np.array([1.0])
     terms = 0
+    buf = _Buffers()
     for depth, ((z, _), (_, carrier)) in enumerate(zip(params, params[1:]), 2):
         single = len(freqs) == 1
         floor = 0.0 if single and depth < len(params) else policy.amplitude_floor
@@ -164,13 +245,15 @@ def predict_stack(params, policy: TruncationPolicy | None = None) -> LineSpectru
                 )
             weights = _component_weights(zeta, n_max)
             nonzero = np.flatnonzero(weights)
-            cand_f = (freqs[:, None] + (nonzero - n_max)[None, :] * nu).ravel()
-            cand_a = (amps[:, None] * weights[nonzero][None, :]).ravel()
             if single:
+                cand_f = (freqs[:, None] + (nonzero - n_max)[None, :] * nu).ravel()
+                cand_a = (amps[:, None] * weights[nonzero][None, :]).ravel()
                 keep = np.abs(cand_a) >= floor
                 freqs, amps = cand_f[keep], cand_a[keep]
             else:
-                freqs, amps = _merge_signed(cand_f, cand_a, floor)
+                freqs, amps = _merge_convolution(
+                    freqs, amps, nonzero - n_max, weights[nonzero], nu, floor, buf
+                )
     spectrum = merge_and_fold(np.column_stack((freqs, amps)))
     spectrum.amps *= params[-1][0]  # the carrier's amplitude
     return spectrum

@@ -9,6 +9,7 @@ from math import factorial
 
 import numpy as np
 
+from fmstack import spectrum
 from fmstack.analysis import _LOG_GUARD, _PEAK_SELECT_DB, MeasuredSpectrum
 from fmstack.operators import Block, InstabilityError, Operator
 from fmstack.bessel import bessel_row
@@ -245,6 +246,55 @@ def predict_second_order(
         freqs, amps = _merge_signed(cand_f, cand_a, floor)
     f, a = _merge_signed(np.abs(freqs), amps, 0.0)
     return LineSpectrum(f, a)
+
+
+# --- `predict_stack` as written before its merges sorted column runs: every
+# multi-component convolution goes row-major through `_merge_signed`. The body
+# is verbatim but for the `spectrum.` prefix on the package helpers it calls,
+# which are unchanged, and the name of its result. `predict_stack` must
+# reproduce its output bit for bit.
+
+
+def predict_stack_row_major(params, policy: TruncationPolicy | None = None) -> LineSpectrum:
+    """Truncated line spectrum of a modulation stack, one row-major merge per convolution."""
+    if not params:
+        raise ValueError("a stack needs at least one operator")
+    for z, f in params[:-1]:
+        if f <= 0:
+            raise ValueError("modulation frequencies must be positive")
+        if z < 0:
+            raise ValueError("modulation indices must be >= 0")
+    if policy is None and len(params) > 1:
+        policy = TruncationPolicy.for_index(params[0][0])
+        if len(params) == 2:
+            policy.amplitude_floor = 0.0
+    freqs, amps = np.array([params[0][1]], dtype=np.float64), np.array([1.0])
+    terms = 0
+    for depth, ((z, _), (_, carrier)) in enumerate(zip(params, params[1:]), 2):
+        single = len(freqs) == 1
+        floor = 0.0 if single and depth < len(params) else policy.amplitude_floor
+        components = zip(freqs, z * amps)
+        freqs, amps = np.array([carrier], dtype=np.float64), np.array([1.0])
+        for nu, zeta in components:
+            n_max = policy.sidebands if depth == 2 else _sideband_count(zeta)
+            terms += len(freqs) * (2 * n_max + 1)
+            if terms > EXPANSION_BUDGET:
+                raise BudgetExceededError(
+                    f"expansion grew past {EXPANSION_BUDGET} terms; "
+                    "raise the amplitude floor or reduce the sideband count"
+                )
+            weights = spectrum._component_weights(zeta, n_max)
+            nonzero = np.flatnonzero(weights)
+            cand_f = (freqs[:, None] + (nonzero - n_max)[None, :] * nu).ravel()
+            cand_a = (amps[:, None] * weights[nonzero][None, :]).ravel()
+            if single:
+                keep = np.abs(cand_a) >= floor
+                freqs, amps = cand_f[keep], cand_a[keep]
+            else:
+                freqs, amps = spectrum._merge_signed(cand_f, cand_a, floor)
+    result = spectrum.merge_and_fold(np.column_stack((freqs, amps)))
+    result.amps *= params[-1][0]  # the carrier's amplitude
+    return result
 
 
 def pm_chain(params, n_samples, sample_rate):
