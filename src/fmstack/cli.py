@@ -210,8 +210,12 @@ def _patch_from_args(args, suffix="") -> PatchSpec:
 
 def cmd_render(args) -> int:
     patch = _patch_from_args(args)
+    try:
+        spec = WavSpec(round(patch.sample_rate), args.bits)
+    except ValueError as exc:  # a rate the WAV header cannot hold, checked before rendering
+        raise UsageError(str(exc)) from exc
     signal = render_patch(patch)
-    write_wav(args.out, signal, WavSpec(round(patch.sample_rate), args.bits))
+    write_wav(args.out, signal, spec)
     print(f"wrote {args.out}: {len(signal)} samples at {patch.sample_rate:g} Hz")
     return 0
 

@@ -29,6 +29,11 @@ class WavSpec:
             raise ValueError("bit depth must be 16 or 32")
         if self.channels != 1:
             raise ValueError("only mono files are written")
+        if self.sample_rate * self.channels * (self.bit_depth // 8) > 0xFFFFFFFF:
+            raise ValueError(
+                f"sample rate {self.sample_rate} Hz at {self.bit_depth} bits overflows "
+                "the 32-bit byte rate field of a WAV header"
+            )
 
 
 def write_wav(path, samples, spec: WavSpec) -> None:
@@ -77,11 +82,18 @@ def write_wav(path, samples, spec: WavSpec) -> None:
         fh.write(memoryview(data))
 
 
+_CSV_VECTOR_MIN_ROWS = 128  # measured break-even: shorter spectra format faster with one %
+
+
 def write_spectrum_csv(path, spec: LineSpectrum | MeasuredSpectrum) -> None:
-    """Write `freq_hz,amplitude` rows with 9 significant digits.
+    """Write `freq_hz,amplitude` rows with 9 significant digits (`%.9g`).
 
     LineSpectrum rows carry signed amplitudes, MeasuredSpectrum rows carry
-    magnitudes. Output bytes are deterministic for identical inputs.
+    magnitudes. Output bytes are deterministic for identical inputs and
+    equal those of one `%.9g` per value. Spectra of at least
+    _CSV_VECTOR_MIN_ROWS rows, all finite, are formatted by numpy (see
+    `csv_format.format_cells`); shorter spectra and any spectrum with a NaN
+    or infinity take one Python `%` over all cells.
     """
     if isinstance(spec, LineSpectrum):
         values = spec.amps
@@ -89,9 +101,14 @@ def write_spectrum_csv(path, spec: LineSpectrum | MeasuredSpectrum) -> None:
         values = spec.mags
     else:
         raise TypeError(f"cannot export {type(spec).__name__} as a spectrum CSV")
-    # Python floats format exactly like the numpy scalars they come from;
-    # one % over the interleaved columns formats the whole body
-    cells = np.column_stack((spec.freqs, values)).ravel().tolist()
-    body = ("%.9g,%.9g\n" * (len(cells) // 2)) % tuple(cells)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("freq_hz,amplitude\n" + body)
+    cells = np.column_stack((spec.freqs, values)).ravel()
+    if len(values) >= _CSV_VECTOR_MIN_ROWS and np.isfinite(cells).all():
+        from . import csv_format  # imported on first use: its tables cost set-up time
+
+        body = csv_format.format_cells(cells)
+    else:
+        # Python floats format exactly like the numpy scalars they come from
+        body = (("%.9g,%.9g\n" * len(values)) % tuple(cells.tolist())).encode()
+    with open(path, "wb") as fh:
+        fh.write(b"freq_hz,amplitude\n")
+        fh.write(body)

@@ -189,6 +189,9 @@ def _merge_convolution(freqs, amps, orders, weights, nu, floor, buf: _Buffers):
     return sorted_f[starts[keep]], merged[keep]
 
 
+# an expansion past the double range turns into inf or NaN lines, which the
+# check at the end rejects; numpy's warnings on the way would say nothing more
+@np.errstate(over="ignore", invalid="ignore")
 def predict_stack(params, policy: TruncationPolicy | None = None) -> LineSpectrum:
     """Truncated line spectrum of a modulation stack of any depth.
 
@@ -212,7 +215,8 @@ def predict_stack(params, policy: TruncationPolicy | None = None) -> LineSpectru
     series, and gives the bits `_merge_signed` gives on the row-major
     candidates; it falls back to that where rounding breaks the tie order
     (see `_merge_convolution`). Its work arrays live for this call only.
-    Non-finite indices, frequencies or carrier amplitude raise ValueError.
+    Non-finite indices, frequencies or carrier amplitude raise ValueError,
+    and so does an output line whose frequency or amplitude overflows.
     """
     if not params:
         raise ValueError("a stack needs at least one operator")
@@ -256,6 +260,8 @@ def predict_stack(params, policy: TruncationPolicy | None = None) -> LineSpectru
                 )
     spectrum = merge_and_fold(np.column_stack((freqs, amps)))
     spectrum.amps *= params[-1][0]  # the carrier's amplitude
+    if not (np.isfinite(spectrum.freqs).all() and np.isfinite(spectrum.amps).all()):
+        raise ValueError("predicted line frequencies or amplitudes overflow the double range")
     return spectrum
 
 

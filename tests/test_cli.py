@@ -209,6 +209,9 @@ def test_usage_errors_exit_2(argv, tmp_path):
     ["render", "--patch", '{"topology": "fm-stack", "operators": [[1, "500"]]}'],
     ["render", "--patch", '{"topology": ["fm-stack"], "operators": [[1, 500]]}'],
     ["render", "--patch", '{"topology": "fm-stack", "operators": [[1, 500]], "duration": 1' + "0" * 400 + "}"],
+    ["render", "--topology", "fm-stack", "--op", "1:100", "--sr", "5e9", "--dur", "1e-9"],  # rate past 32 bits
+    ["render", "--topology", "fm-stack", "--op", "1:100", "--sr", "1.2e9", "--dur", "1e-8", "--bits", "32"],  # byte rate
+    ["render", "--topology", "fm-stack", "--op", "1:0.1", "--sr", "0.4", "--dur", "10"],  # rate rounds to 0 Hz
 ])
 def test_bad_values_exit_2_without_file(argv, tmp_path):
     out = tmp_path / "x.wav"
@@ -221,6 +224,17 @@ def test_budget_exceeded_exits_3_without_file(tmp_path):
     code = main(["spectrum", "--mode", "predicted", "--topology", "pm2", "--op", "30:123.4",
                  "--op", "30:456.7", "--op", "1:1000", "--out", str(out)])
     assert code == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ops", [
+    ["--topology", "pm1", "--op", "1:1e308", "--op", "1:1e308"],  # a line at inf Hz
+    ["--topology", "fm-stack", "--op", "1:1e308", "--op", "1:1e308", "--op", "1:1e308"],
+])
+def test_overflowing_prediction_exits_3_without_file(ops, tmp_path, capsys):
+    out = tmp_path / "p.csv"
+    assert main(["spectrum", *ops, "--mode", "predicted", "--out", str(out)]) == 3
+    assert "overflow" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -7,7 +7,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fmstack.analysis import AnalysisFrame, MeasuredSpectrum, measure_spectrum
-from fmstack.io_formats import WavSpec, write_spectrum_csv, write_wav
+from fmstack import csv_format
+from fmstack.csv_format import CHUNK
+from fmstack.io_formats import _CSV_VECTOR_MIN_ROWS, WavSpec, write_spectrum_csv, write_wav
 from fmstack.spectrum import LineSpectrum, predict_second_order
 from oracles import write_spectrum_csv_rows, write_wav_clip_copy
 
@@ -71,6 +73,12 @@ def test_wav_spec_validation():
         WavSpec(48000, 24)
     with pytest.raises(ValueError):
         WavSpec(48000, 16, channels=2)
+    # the byte rate must fit the header's 32-bit field: 2**32 - 2 does, 2**32 does not
+    assert WavSpec(2**31 - 1, 16).sample_rate == 2**31 - 1
+    with pytest.raises(ValueError, match="byte rate"):
+        WavSpec(2**31, 16)
+    with pytest.raises(ValueError, match="byte rate"):
+        WavSpec(2**30, 32)
 
 
 def test_csv_single_line_bytes(tmp_path):
@@ -145,6 +153,73 @@ def test_csv_matches_row_writer_oracle(spec, tmp_path):
     write_spectrum_csv(new, spec)
     write_spectrum_csv_rows(old, spec)
     assert new.read_bytes() == old.read_bytes()
+
+
+# values where a numpy %.9g can go wrong: decimal ties at the 10th digit
+# (exact, and the doubles nearest to them), neighbours of the limits of fixed
+# notation and of rounding up past 1e9, signed zeros, subnormals, extremes
+_NEIGHBOURED = np.array([1e-5, 1e-4, 1e8, 1e9, 999999999.5])
+_SPECIALS = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 9.99e-291, 1e-290,
+                      1.7976931348623157e308, -1.7976931348623157e308, 1e23, 1234567885.0])
+
+
+def _hard_values(rng, n):
+    """n finite doubles, each drawn from one of the formatter's hard cases."""
+    mantissa = rng.integers(10**8, 10**9, n)
+    exponent = rng.integers(-300, 290, n)
+    near_ties = np.char.add(np.char.add(mantissa.astype(str), "5e"), exponent.astype(str)).astype(np.float64)
+    steps = _NEIGHBOURED[rng.integers(0, len(_NEIGHBOURED), n)].view(np.int64) + rng.integers(-20, 21, n)
+    bits = rng.integers(0, 2**64 - 1, n, dtype=np.uint64, endpoint=True).view(np.float64)
+    cases = [
+        np.where(np.isfinite(bits), bits, 1.0),  # random bit patterns
+        (10 * mantissa + 5) * 10.0 ** rng.integers(0, 6, n),  # exact ties: 1234567885.0
+        mantissa + 0.5,  # exact ties below 1e9
+        near_ties,
+        steps.view(np.float64),
+        _SPECIALS[rng.integers(0, len(_SPECIALS), n)],
+        rng.standard_normal(n) * 10.0 ** rng.integers(-20, 12, n),
+    ]
+    values = np.choose(rng.integers(0, len(cases), n), cases)
+    return np.where(rng.random(n) < 0.5, -values, values)
+
+
+@st.composite
+def _long_spectra(draw):
+    rows = draw(st.integers(_CSV_VECTOR_MIN_ROWS - 2, 4 * CHUNK // 2 + 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        # a measured grid: bin k of an n-point DFT at fs
+        fs, n = draw(st.sampled_from([44100.0, 48000.0, 96000.0])), draw(st.integers(rows, 4 * rows))
+        freqs = np.sort(rng.choice(n, rows, replace=False)) * fs / n
+        spec = LineSpectrum(freqs, _hard_values(rng, rows))
+    else:
+        spec = MeasuredSpectrum(_hard_values(rng, rows), np.abs(_hard_values(rng, rows)), np.zeros(rows))
+    non_finite = draw(st.sampled_from([None, np.nan, np.inf, -np.inf]))
+    if non_finite is not None:
+        column = spec.freqs if draw(st.booleans()) else spec.amps if isinstance(spec, LineSpectrum) else spec.mags
+        column[rng.integers(rows)] = non_finite
+    return spec
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(spec=_long_spectra())
+def test_long_csv_matches_row_writer_oracle(spec, tmp_path):
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    write_spectrum_csv(new, spec)
+    write_spectrum_csv_rows(old, spec)
+    assert new.read_bytes() == old.read_bytes()
+
+
+def test_long_finite_spectra_take_the_numpy_formatter(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(csv_format, "_format_chunk", lambda cells: calls.append(len(cells)) or b"")
+    freqs = np.arange(_CSV_VECTOR_MIN_ROWS, dtype=np.float64)
+    write_spectrum_csv(tmp_path / "short.csv", LineSpectrum(freqs[:-1], freqs[:-1]))
+    write_spectrum_csv(tmp_path / "nan.csv", LineSpectrum(freqs, np.where(freqs == 5.0, np.nan, freqs)))
+    assert calls == []
+    rows = CHUNK + 1
+    write_spectrum_csv(tmp_path / "long.csv", LineSpectrum(np.arange(rows, dtype=np.float64), np.ones(rows)))
+    assert calls == [CHUNK, CHUNK, 2]
 
 
 # finite samples in and out of range, with the 16-bit rounding ties, full
