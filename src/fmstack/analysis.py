@@ -105,10 +105,10 @@ def detect_carrier_drift(
         return 0.0, []
     bin_hz = spec.freqs[1] - spec.freqs[0]
     threshold = mags.max() * 10.0 ** (_PEAK_SELECT_DB / 20.0)
-    logm = 20.0 * np.log10(np.maximum(mags, _LOG_GUARD))
     mid = mags[2:-1]
     i = np.flatnonzero((mid >= threshold) & (mid > mags[1:-2]) & (mid > mags[3:])) + 2
-    left, center, right = logm[i - 1], logm[i], logm[i + 1]
+    # log magnitude of the three bins around each peak only
+    left, center, right = (20.0 * np.log10(np.maximum(mags[j], _LOG_GUARD)) for j in (i - 1, i, i + 1))
     denom = left - 2.0 * center + right
     delta = np.divide(0.5 * (left - right), denom, out=np.zeros(len(i)), where=denom != 0.0)
     freq = (i + delta) * bin_hz

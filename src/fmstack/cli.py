@@ -112,39 +112,47 @@ class PatchSpec:
         return round(self.duration * self.sample_rate)
 
 
-def _render_pm(patch: PatchSpec) -> np.ndarray:
+def _render_pm(patch: PatchSpec, n_samples: int) -> np.ndarray:
     *mods, (amp, fc) = patch.operators
     params = PMParams(fc, [f for _, f in mods], [z for z, _ in mods], patch.sample_rate)
-    signal = (render_pm1 if len(mods) == 1 else render_pm2)(params, patch.n_samples)
+    signal = (render_pm1 if len(mods) == 1 else render_pm2)(params, n_samples)
     signal *= amp
     return signal
 
 
 @dataclass(frozen=True)
 class Topology:
-    """Operator count range, renderer, and analytic predictor (None if it has none)."""
+    """Operator count range, renderer of a patch's first n samples, and analytic
+    predictor (None if it has none)."""
 
     arity: tuple[int, int]
-    render: Callable[[PatchSpec], np.ndarray]
+    render: Callable[[PatchSpec, int], np.ndarray]
     predict: Callable[[list], LineSpectrum] | None = None
 
 
 TOPOLOGIES = {
-    "fm-stack": Topology((1, 64), lambda p: render_stack(p.operators, p.n_samples, p.sample_rate).audio,
+    "fm-stack": Topology((1, 64), lambda p, n: render_stack(p.operators, n, p.sample_rate).audio,
                          predict_stack),
-    "fm-stack-naive": Topology((1, 64), lambda p: render_naive_stack(p.operators, p.n_samples, p.sample_rate).audio),
+    "fm-stack-naive": Topology((1, 64), lambda p, n: render_naive_stack(p.operators, n, p.sample_rate).audio),
     "pm1": Topology((2, 2), _render_pm, predict_stack),
     "pm2": Topology((3, 3), _render_pm, predict_stack),
-    "fm-feedback": Topology((1, 1), lambda p: render_feedback_fm(
-        *p.operators[0], p.feedback_gain, p.n_samples, p.sample_rate).audio),
-    "pm-feedback": Topology((1, 1), lambda p: render_feedback_pm(
-        *p.operators[0], p.feedback_gain, p.n_samples, p.sample_rate)),
+    "fm-feedback": Topology((1, 1), lambda p, n: render_feedback_fm(
+        *p.operators[0], p.feedback_gain, n, p.sample_rate).audio),
+    "pm-feedback": Topology((1, 1), lambda p, n: render_feedback_pm(
+        *p.operators[0], p.feedback_gain, n, p.sample_rate)),
 }
 
 
-def render_patch(patch: PatchSpec) -> np.ndarray:
-    """Render the audio signal of a patch with its topology's engine."""
-    return TOPOLOGIES[patch.topology].render(patch)
+def render_patch(patch: PatchSpec, n_samples: int | None = None) -> np.ndarray:
+    """Render the first `n_samples` samples of a patch (all `patch.n_samples`
+    by default) with its topology's engine.
+
+    Every engine gives the same first k samples at any length asked for, so a
+    shorter render is a prefix of the full one, bit for bit. Errors that would
+    first occur past `n_samples` (aliasing, a diverging feedback loop) are not
+    raised.
+    """
+    return TOPOLOGIES[patch.topology].render(patch, patch.n_samples if n_samples is None else n_samples)
 
 
 def predict_patch(patch: PatchSpec) -> LineSpectrum:
@@ -157,25 +165,47 @@ def predict_patch(patch: PatchSpec) -> LineSpectrum:
 
 def _grid_hz(patches: list[PatchSpec]) -> float:
     """gcd of all operator frequencies, on values rounded to 1e-6 Hz."""
-    micro = [round(f * 1e6) for p in patches for _, f in p.operators if f > 0]
+    try:
+        micro = [round(f * 1e6) for p in patches for _, f in p.operators if f > 0]
+    except OverflowError as exc:  # f * 1e6 past the double range
+        raise UsageError("operator frequency too large to build a grid from; give --grid-hz") from exc
     if not micro:
         raise UsageError("patch has no positive frequencies to build a grid from")
-    return math.gcd(*micro) / 1e6
+    grid = math.gcd(*micro) / 1e6
+    if grid == 0:
+        raise UsageError("operator frequencies round to a 0 Hz grid at 1e-6 Hz; give --grid-hz")
+    return grid
 
 
-def _measure_patch(patch: PatchSpec, grid_hz: float | None, window: str):
-    signal = render_patch(patch)
-    grid = grid_hz if grid_hz else _grid_hz([patch])
-    spp = patch.sample_rate / grid
-    if abs(spp - round(spp)) > 1e-6 * spp or len(signal) < round(spp) * MIN_PERIODS:
+def _analysis_grid(grid_hz: float | None, patches: list[PatchSpec]) -> float:
+    """The --grid-hz value, or the grid of the patches' frequencies when it is not given."""
+    if grid_hz is None:
+        return _grid_hz(patches)
+    if not (math.isfinite(grid_hz) and grid_hz > 0):
+        raise UsageError(f"--grid-hz must be a positive finite number, got {grid_hz:g}")
+    return grid_hz
+
+
+def _samples_per_period(sample_rate: float, grid: float) -> int:
+    """Whole samples per grid period, or 0 when the grid does not divide the sample rate."""
+    spp = sample_rate / grid
+    if math.isfinite(spp) and spp > 0 and abs(spp - round(spp)) <= 1e-6 * spp:
+        return round(spp)
+    return 0
+
+
+def _measure_patch(patch: PatchSpec, grid: float, window: str):
+    """Spectrum of all whole grid periods of a patch; renders only those samples."""
+    spp = _samples_per_period(patch.sample_rate, grid)
+    if not spp or patch.n_samples < spp * MIN_PERIODS:
         # non-commensurate grid (or too few periods): fall back to a Hann
         # window on a synthetic grid of MIN_PERIODS segments
-        spp = len(signal) // MIN_PERIODS
+        spp = patch.n_samples // MIN_PERIODS
         if spp < 2:
             raise UsageError("duration too short to analyze; increase --dur")
         grid = patch.sample_rate / spp
         window = "hann"
-    frame = AnalysisFrame.from_signal(signal, patch.sample_rate, grid)
+    frame = AnalysisFrame(render_patch(patch, spp * (patch.n_samples // spp)), patch.sample_rate, grid)
     return measure_spectrum(frame, window), grid
 
 
@@ -210,6 +240,8 @@ def _patch_from_args(args, suffix="") -> PatchSpec:
 
 def cmd_render(args) -> int:
     patch = _patch_from_args(args)
+    if not patch.sample_rate.is_integer():  # the WAV header holds whole Hz only
+        raise UsageError(f"render needs a whole sample rate in Hz, got {patch.sample_rate:g}")
     try:
         spec = WavSpec(round(patch.sample_rate), args.bits)
     except ValueError as exc:  # a rate the WAV header cannot hold, checked before rendering
@@ -225,7 +257,7 @@ def cmd_spectrum(args) -> int:
     if args.mode == "predicted":
         spec = predict_patch(patch)
     else:
-        spec, _ = _measure_patch(patch, args.grid_hz, args.window)
+        spec, _ = _measure_patch(patch, _analysis_grid(args.grid_hz, [patch]), args.window)
     write_spectrum_csv(args.out, spec)
     n = len(spec.freqs)
     print(f"wrote {args.out}: {n} rows ({args.mode})")
@@ -233,19 +265,25 @@ def cmd_spectrum(args) -> int:
 
 
 def _line_mags(patch: PatchSpec, grid: float, periods: int) -> np.ndarray:
-    """Magnitudes at harmonic-grid lines over the first `periods` grid periods.
+    """Magnitudes at harmonic-grid lines over the first `periods` grid periods,
+    which are all that is rendered.
 
     Hann-windowed: exact for bin-centered lines, robust against the slight
     off-grid smear of discretely integrated FM partials.
     """
-    signal = render_patch(patch)
-    spp = patch.sample_rate / grid
-    if abs(spp - round(spp)) > 1e-6 * spp:
+    spp = _samples_per_period(patch.sample_rate, grid)
+    if not spp:
         raise UsageError(f"grid {grid:g} Hz does not divide the sample rate")
-    if len(signal) < round(spp) * periods:
+    if patch.n_samples < spp * periods:
         raise UsageError(f"need at least {periods} grid periods; increase --dur")
-    frame = AnalysisFrame.from_signal(signal, patch.sample_rate, grid, periods)
+    frame = AnalysisFrame(render_patch(patch, spp * periods), patch.sample_rate, grid)
     return measure_spectrum(frame, "hann").mags[::periods]
+
+
+def _check_finite(args, *names: str) -> None:
+    for name in names:
+        if not math.isfinite(getattr(args, name)):
+            raise UsageError(f"--{name.replace('_', '-')} must be finite, got {getattr(args, name):g}")
 
 
 def cmd_compare(args) -> int:
@@ -253,7 +291,8 @@ def cmd_compare(args) -> int:
     patch_b = _patch_from_args(args, "_b")
     if patch_a.sample_rate != patch_b.sample_rate or patch_a.duration != patch_b.duration:
         raise UsageError("compared patches must share sample rate and duration")
-    grid = args.grid_hz if args.grid_hz else _grid_hz([patch_a, patch_b])
+    _check_finite(args, "tolerance_db", "floor_db")
+    grid = _analysis_grid(args.grid_hz, [patch_a, patch_b])
     lines_a = _line_mags(patch_a, grid, MIN_PERIODS)
     lines_b = _line_mags(patch_b, grid, MIN_PERIODS)
     ref = max(lines_a.max(), lines_b.max())
@@ -278,8 +317,8 @@ def cmd_drift_demo(args) -> int:
     patch = _patch_from_args(args)
     if patch.topology not in ("fm-stack", "fm-stack-naive"):
         raise UsageError("drift-demo expects an fm-stack or fm-stack-naive patch")
-    grid = args.grid_hz if args.grid_hz else _grid_hz([patch])
-    spec, grid = _measure_patch(patch, grid, args.window)
+    _check_finite(args, "tolerance_hz")
+    spec, grid = _measure_patch(patch, _analysis_grid(args.grid_hz, [patch]), args.window)
     max_offset, offenders = detect_carrier_drift(spec, grid, args.tolerance_hz)
     ok = max_offset <= args.tolerance_hz
     print(

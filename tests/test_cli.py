@@ -1,9 +1,13 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fmstack.cli import TOPOLOGIES, PatchSpec, Topology, UsageError, main, render_patch
+from fmstack.operators import DEFAULT_BLOCK_SIZE, InstabilityError
 
 FIG3_OPS = ["--op", "3:500", "--op", "2:500", "--op", "1:500"]
 
@@ -159,7 +163,7 @@ def test_instability_exits_3_without_file(tmp_path):
 
 def test_non_finite_render_exits_3_without_file(tmp_path, monkeypatch, capsys):
     # no valid patch renders NaN today; a renderer that does must not reach the file
-    monkeypatch.setitem(TOPOLOGIES, "pm-feedback", Topology((1, 1), lambda p: np.full(p.n_samples, np.nan)))
+    monkeypatch.setitem(TOPOLOGIES, "pm-feedback", Topology((1, 1), lambda p, n: np.full(n, np.nan)))
     out = tmp_path / "nan.wav"
     code = main(["render", "--topology", "pm-feedback", "--op", "1:500", "--dur", "0.01", "--out", str(out)])
     assert code == 3
@@ -212,11 +216,48 @@ def test_usage_errors_exit_2(argv, tmp_path):
     ["render", "--topology", "fm-stack", "--op", "1:100", "--sr", "5e9", "--dur", "1e-9"],  # rate past 32 bits
     ["render", "--topology", "fm-stack", "--op", "1:100", "--sr", "1.2e9", "--dur", "1e-8", "--bits", "32"],  # byte rate
     ["render", "--topology", "fm-stack", "--op", "1:0.1", "--sr", "0.4", "--dur", "10"],  # rate rounds to 0 Hz
+    ["render", "--topology", "fm-stack", "--op", "1:500", "--sr", "44100.5", "--dur", "0.01"],  # header holds whole Hz
+    ["render", "--topology", "fm-stack", "--op", "1:0.1", "--sr", "1.49", "--dur", "10"],
+    *[["spectrum", "--topology", "fm-stack", "--op", "1:500", "--sr", "96000", "--dur", "0.064", "--grid-hz", grid]
+      for grid in ("nan", "inf", "-500", "0")],
+    ["spectrum", "--topology", "fm-stack", "--op", "1:4e-7", "--sr", "96000", "--dur", "0.064"],  # grid rounds to 0
+    ["spectrum", "--topology", "pm1", "--op", "1:1e303", "--op", "1:500", "--sr", "96000", "--dur", "0.064"],
 ])
 def test_bad_values_exit_2_without_file(argv, tmp_path):
     out = tmp_path / "x.wav"
     assert main(argv + ["--out", str(out)]) == 2
     assert not out.exists()
+
+
+_FIG3_96K = FIG3_OPS + ["--sr", "96000", "--dur", "0.064"]
+
+
+@pytest.mark.parametrize("argv", [
+    *[["compare", "--topology-a", "fm-stack-naive", "--topology-b", "pm2", *_FIG3_96K, "--grid-hz=" + grid]
+      for grid in ("nan", "inf", "-500", "0")],
+    *[["drift-demo", "--topology", "fm-stack", *_FIG3_96K, "--grid-hz=" + grid]
+      for grid in ("nan", "inf", "-500", "0")],
+    ["compare", "--topology-a", "fm-stack", "--topology-b", "fm-stack", "--op", "1:4e-7", "--sr", "96000",
+     "--dur", "0.064"],
+    ["drift-demo", "--topology", "fm-stack", "--op", "1:4e-7", "--sr", "96000", "--dur", "0.064"],
+    # the naive stack fails this comparison; no threshold may turn it into a pass
+    *[["compare", "--topology-a", "fm-stack-naive", "--topology-b", "pm2", *_FIG3_96K, flag + "=" + value]
+      for flag in ("--floor-db", "--tolerance-db") for value in ("nan", "inf", "-inf")],
+    *[["drift-demo", "--topology", "fm-stack-naive", *_FIG3_96K, "--tolerance-hz=" + value]
+      for value in ("nan", "inf", "-inf")],
+])
+def test_bad_analysis_values_exit_2(argv, capsys):
+    assert main(argv) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err.startswith("error: ")
+
+
+def test_other_commands_accept_non_integer_rates(tmp_path):
+    out = tmp_path / "x.csv"
+    assert main(["spectrum", "--topology", "fm-stack", "--op", "1:500", "--sr", "44100.5", "--dur", "0.1",
+                 "--out", str(out)]) == 0
+    assert out.exists()
 
 
 def test_budget_exceeded_exits_3_without_file(tmp_path):
@@ -293,3 +334,96 @@ def test_repeated_main_calls_do_not_share_state(tmp_path, capsys):
     assert [r[0] for r in first] == [0, 0, 0, 0, 1, 0, 0, 2]
     for _ in range(2):
         assert [_run(job, tmp_path, capsys) for job in reversed(jobs)] == first[::-1]
+
+
+# --- analysis commands render only the samples they measure
+
+
+def _draw_patch(draw, topology, sample_rate, n):
+    freq, amp = st.floats(20.0, 2000.0), st.floats(0.0, 1.0)
+    lo, hi = TOPOLOGIES[topology].arity
+    depth = draw(st.integers(lo, min(hi, 4)))
+    # indices up to 1.5 keep a 4-deep stack's instantaneous frequency below
+    # 20 kHz; amp * gain < 1 keeps feedback FM from diverging
+    ops = [(draw(st.floats(0.0, 1.5)), draw(freq)) for _ in range(depth - 1)] + [(draw(amp), draw(freq))]
+    gain = draw(st.floats(0.0, 0.9 if topology == "fm-feedback" else 1.5))
+    return PatchSpec(topology, ops, feedback_gain=gain, sample_rate=sample_rate, duration=n / sample_rate)
+
+
+@settings(max_examples=36, deadline=None)
+@given(topology=st.sampled_from(sorted(TOPOLOGIES)), sample_rate=st.sampled_from([48000.0, 96000.0]),
+       n=st.one_of(st.integers(1, 3 * DEFAULT_BLOCK_SIZE + 2),
+                   st.sampled_from([m * DEFAULT_BLOCK_SIZE + d for m in (1, 2, 3) for d in (-1, 0, 1)])),
+       data=st.data())
+def test_short_render_is_a_prefix_of_the_full_render(topology, sample_rate, n, data):
+    patch = _draw_patch(data.draw, topology, sample_rate, n)
+    n = patch.n_samples
+    full = render_patch(patch)
+    assert len(full) == n
+    ks = {n, data.draw(st.integers(0, n))}
+    ks.update(k for m in range(1, n // DEFAULT_BLOCK_SIZE + 1)
+              for k in (m * DEFAULT_BLOCK_SIZE - 1, m * DEFAULT_BLOCK_SIZE, m * DEFAULT_BLOCK_SIZE + 1) if k <= n)
+    for k in sorted(ks):
+        assert np.array_equal(render_patch(patch, k), full[:k]), k
+
+
+@pytest.fixture
+def render_lengths(monkeypatch):
+    """Sample counts asked of every topology's renderer, in call order."""
+    lengths = []
+    for name, topology in list(TOPOLOGIES.items()):
+        def spy(patch, n, render=topology.render):
+            lengths.append(n)
+            return render(patch, n)
+        monkeypatch.setitem(TOPOLOGIES, name, dataclasses.replace(topology, render=spy))
+    return lengths
+
+
+# patch flags, the analysis command around them, samples it reads (whole
+# periods of the grid it uses), rows written
+_ANALYSES = [
+    # 16 periods of 192 samples (500 Hz at 96 kHz) per side out of 24000
+    (["--topology", "fm-stack", *FIG3_OPS, "--sr", "96000", "--dur", "0.25"],
+     ["compare", "--topology-b", "pm2"], [3072, 3072], None),
+    # 250 Hz grid: 25 whole periods of 384 samples out of 9696
+    (["--topology", "fm-stack", "--op", "1:500", "--op", "1:750", "--sr", "96000", "--dur", "0.101"],
+     ["spectrum", "--out", "OUT"], [9600], 4801),
+    # 440.3 Hz does not divide 48 kHz: Hann on 16 periods of 4814 // 16 = 300 samples
+    (["--topology", "pm-feedback", "--op", "1:440.3", "--feedback-gain", "0.5", "--sr", "48000", "--dur", "0.1003"],
+     ["spectrum", "--out", "OUT"], [4800], 2401),
+    # 65 whole periods of 192 samples out of 12528
+    (["--topology", "fm-stack", *FIG3_OPS, "--sr", "96000", "--dur", "0.1305"],
+     ["drift-demo", "--grid-hz", "500"], [12480], None),
+]
+
+
+def _analysis_argv(patch, command, out):
+    if command[0] == "compare":
+        patch = ["--topology-a" if a == "--topology" else a for a in patch]
+    return [str(out) if a == "OUT" else a for a in command + patch]
+
+
+@pytest.mark.parametrize("patch, command, lengths, rows", _ANALYSES)
+def test_analysis_renders_only_what_it_measures(patch, command, lengths, rows, render_lengths, tmp_path):
+    out = tmp_path / "x.csv"
+    assert main(_analysis_argv(patch, command, out)) == 0
+    assert render_lengths == lengths
+    if rows is not None:
+        assert len(out.read_text().splitlines()) == 1 + rows
+
+
+@pytest.mark.parametrize("patch, command, lengths, rows", _ANALYSES)
+def test_analysis_misses_errors_past_the_samples_it_reads(patch, command, lengths, rows, monkeypatch, tmp_path):
+    # A renderer that fails when asked for more than the analysed samples
+    # stands for a patch that aliases or diverges only after them: the
+    # analysis passes, and only `render` of the whole duration sees the error.
+    for name, topology in list(TOPOLOGIES.items()):
+        def render(patch, n, render=topology.render):
+            if n > max(lengths):
+                raise InstabilityError(f"diverged past sample {max(lengths)}")
+            return render(patch, n)
+        monkeypatch.setitem(TOPOLOGIES, name, dataclasses.replace(topology, render=render))
+    assert main(_analysis_argv(patch, command, tmp_path / "x.csv")) == 0
+    wav = tmp_path / "x.wav"
+    assert main(["render", *patch, "--out", str(wav)]) == 3
+    assert not wav.exists()
