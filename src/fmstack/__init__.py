@@ -20,7 +20,7 @@ from .operators import (
     render_naive_stack,
     render_stack,
 )
-from .pm import PMParams, render_feedback_pm, render_pm1, render_pm2
+from .pm import PMParams, render_feedback_pm, render_pm1, render_pm2, render_pm_chain
 from .spectrum import (
     BudgetExceededError,
     LineSpectrum,
@@ -72,6 +72,7 @@ __all__ = [
     "render_naive_stack",
     "render_pm1",
     "render_pm2",
+    "render_pm_chain",
     "render_stack",
     "write_spectrum_csv",
     "write_wav",

@@ -6,6 +6,7 @@ free and magnitude tolerances can be tight. The Hann window is kept for
 signals whose partials are off the grid (the naive-FM drift pathology).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +14,15 @@ import numpy as np
 MIN_PERIODS = 16
 _PEAK_SELECT_DB = -40.0  # peaks above this, relative to the strongest bin
 _LOG_GUARD = 1e-150
+
+
+def samples_per_period(sample_rate: float, grid_hz: float) -> int:
+    """Whole samples in one period of `grid_hz`, or 0 when the grid is not
+    positive or does not divide the sample rate (to 1e-6 of a period)."""
+    spp = sample_rate / grid_hz if grid_hz > 0 else 0.0
+    if math.isfinite(spp) and spp > 0 and abs(spp - round(spp)) <= 1e-6 * spp:
+        return round(spp)
+    return 0
 
 
 @dataclass
@@ -25,15 +35,9 @@ class AnalysisFrame:
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.fundamental_hz <= 0:
-            raise ValueError("fundamental must be positive")
-        spp = self.sample_rate / self.fundamental_hz
-        if abs(spp - round(spp)) > 1e-6 * spp:
-            raise ValueError(
-                f"sample rate {self.sample_rate} is not an integer multiple of "
-                f"fundamental {self.fundamental_hz}"
-            )
-        spp = round(spp)
+        spp = samples_per_period(self.sample_rate, self.fundamental_hz)
+        if not spp:
+            raise ValueError(f"fundamental {self.fundamental_hz} must divide the sample rate {self.sample_rate}")
         if len(self.samples) % spp != 0:
             raise ValueError("frame length is not an integer number of periods")
         if len(self.samples) // spp < MIN_PERIODS:
@@ -43,14 +47,14 @@ class AnalysisFrame:
     def from_signal(cls, samples, sample_rate, fundamental_hz, periods=None):
         """Trim samples to the first `periods` whole periods (all of them by default)."""
         samples = np.asarray(samples, dtype=np.float64)
-        spp = round(sample_rate / fundamental_hz)
-        available = len(samples) // spp
-        p = available if periods is None else periods
-        return cls(samples[: spp * p], sample_rate, fundamental_hz)
+        spp = samples_per_period(sample_rate, fundamental_hz)
+        if spp:  # otherwise the constructor rejects the grid
+            samples = samples[: spp * (len(samples) // spp if periods is None else periods)]
+        return cls(samples, sample_rate, fundamental_hz)
 
     @property
     def periods(self) -> int:
-        return len(self.samples) // round(self.sample_rate / self.fundamental_hz)
+        return len(self.samples) // samples_per_period(self.sample_rate, self.fundamental_hz)
 
 
 @dataclass

@@ -20,6 +20,7 @@ from .analysis import (
     AnalysisFrame,
     detect_carrier_drift,
     measure_spectrum,
+    samples_per_period,
 )
 from .io_formats import WavSpec, write_spectrum_csv, write_wav
 from .operators import (
@@ -28,7 +29,7 @@ from .operators import (
     render_naive_stack,
     render_stack,
 )
-from .pm import PMParams, render_feedback_pm, render_pm1, render_pm2
+from .pm import PMParams, render_feedback_pm, render_pm_chain
 from .spectrum import BudgetExceededError, LineSpectrum, predict_stack
 
 _MAX_SAMPLES = (2**32 - 1 - 36) // 4  # 32-bit float samples a RIFF file's size field can hold
@@ -114,8 +115,11 @@ class PatchSpec:
 
 def _render_pm(patch: PatchSpec, n_samples: int) -> np.ndarray:
     *mods, (amp, fc) = patch.operators
-    params = PMParams(fc, [f for _, f in mods], [z for z, _ in mods], patch.sample_rate)
-    signal = (render_pm1 if len(mods) == 1 else render_pm2)(params, n_samples)
+    try:
+        params = PMParams(fc, [f for _, f in mods], [z for z, _ in mods], patch.sample_rate)
+    except ValueError as exc:  # a negative modulation index
+        raise UsageError(str(exc)) from exc
+    signal = render_pm_chain(params, n_samples)
     signal *= amp
     return signal
 
@@ -134,6 +138,7 @@ TOPOLOGIES = {
     "fm-stack": Topology((1, 64), lambda p, n: render_stack(p.operators, n, p.sample_rate).audio,
                          predict_stack),
     "fm-stack-naive": Topology((1, 64), lambda p, n: render_naive_stack(p.operators, n, p.sample_rate).audio),
+    "pm-stack": Topology((2, 64), _render_pm, predict_stack),
     "pm1": Topology((2, 2), _render_pm, predict_stack),
     "pm2": Topology((3, 3), _render_pm, predict_stack),
     "fm-feedback": Topology((1, 1), lambda p, n: render_feedback_fm(
@@ -160,11 +165,16 @@ def predict_patch(patch: PatchSpec) -> LineSpectrum:
     predict = TOPOLOGIES[patch.topology].predict
     if predict is None:
         raise UsageError(f"no analytic prediction for topology {patch.topology}")
+    if any(z < 0 or f <= 0 for z, f in patch.operators[:-1]):
+        raise UsageError("predicted spectra need modulation indices >= 0 and modulation frequencies > 0")
     return predict(patch.operators)
 
 
-def _grid_hz(patches: list[PatchSpec]) -> float:
-    """gcd of all operator frequencies, on values rounded to 1e-6 Hz."""
+def _analysis_grid(grid_hz: float | None, patches: list[PatchSpec]) -> float:
+    """The --grid-hz value or, when it is not given, the gcd of all operator
+    frequencies of the patches, on values rounded to 1e-6 Hz."""
+    if grid_hz is not None:  # checked where it is used, by _grid_period
+        return grid_hz
     try:
         micro = [round(f * 1e6) for p in patches for _, f in p.operators if f > 0]
     except OverflowError as exc:  # f * 1e6 past the double range
@@ -177,34 +187,30 @@ def _grid_hz(patches: list[PatchSpec]) -> float:
     return grid
 
 
-def _analysis_grid(grid_hz: float | None, patches: list[PatchSpec]) -> float:
-    """The --grid-hz value, or the grid of the patches' frequencies when it is not given."""
-    if grid_hz is None:
-        return _grid_hz(patches)
-    if not (math.isfinite(grid_hz) and grid_hz > 0):
-        raise UsageError(f"--grid-hz must be a positive finite number, got {grid_hz:g}")
-    return grid_hz
+def _grid_period(patch: PatchSpec, grid: float, periods: int) -> int:
+    """Samples per period of a grid that divides the rate and fits `periods` periods."""
+    spp = samples_per_period(patch.sample_rate, grid)
+    if not spp:
+        raise UsageError(f"grid {grid:g} Hz does not divide the sample rate")
+    if patch.n_samples < spp * periods:
+        raise UsageError(f"need at least {periods} grid periods; increase --dur")
+    return spp
 
 
-def _samples_per_period(sample_rate: float, grid: float) -> int:
-    """Whole samples per grid period, or 0 when the grid does not divide the sample rate."""
-    spp = sample_rate / grid
-    if math.isfinite(spp) and spp > 0 and abs(spp - round(spp)) <= 1e-6 * spp:
-        return round(spp)
-    return 0
-
-
-def _measure_patch(patch: PatchSpec, grid: float, window: str):
+def _measure_patch(patch: PatchSpec, grid_hz: float | None, window: str):
     """Spectrum of all whole grid periods of a patch; renders only those samples."""
-    spp = _samples_per_period(patch.sample_rate, grid)
-    if not spp or patch.n_samples < spp * MIN_PERIODS:
-        # non-commensurate grid (or too few periods): fall back to a Hann
-        # window on a synthetic grid of MIN_PERIODS segments
+    grid = _analysis_grid(grid_hz, [patch])
+    spp = samples_per_period(patch.sample_rate, grid)
+    if grid_hz is None and (not spp or patch.n_samples < spp * MIN_PERIODS):
+        # a derived grid that does not divide the rate or fit MIN_PERIODS periods
+        # falls back to Hann on a synthetic grid; a given grid must do both
         spp = patch.n_samples // MIN_PERIODS
         if spp < 2:
             raise UsageError("duration too short to analyze; increase --dur")
         grid = patch.sample_rate / spp
         window = "hann"
+    else:
+        spp = _grid_period(patch, grid, MIN_PERIODS)
     frame = AnalysisFrame(render_patch(patch, spp * (patch.n_samples // spp)), patch.sample_rate, grid)
     return measure_spectrum(frame, window), grid
 
@@ -257,7 +263,7 @@ def cmd_spectrum(args) -> int:
     if args.mode == "predicted":
         spec = predict_patch(patch)
     else:
-        spec, _ = _measure_patch(patch, _analysis_grid(args.grid_hz, [patch]), args.window)
+        spec, _ = _measure_patch(patch, args.grid_hz, args.window)
     write_spectrum_csv(args.out, spec)
     n = len(spec.freqs)
     print(f"wrote {args.out}: {n} rows ({args.mode})")
@@ -271,11 +277,7 @@ def _line_mags(patch: PatchSpec, grid: float, periods: int) -> np.ndarray:
     Hann-windowed: exact for bin-centered lines, robust against the slight
     off-grid smear of discretely integrated FM partials.
     """
-    spp = _samples_per_period(patch.sample_rate, grid)
-    if not spp:
-        raise UsageError(f"grid {grid:g} Hz does not divide the sample rate")
-    if patch.n_samples < spp * periods:
-        raise UsageError(f"need at least {periods} grid periods; increase --dur")
+    spp = _grid_period(patch, grid, periods)
     frame = AnalysisFrame(render_patch(patch, spp * periods), patch.sample_rate, grid)
     return measure_spectrum(frame, "hann").mags[::periods]
 
@@ -318,7 +320,7 @@ def cmd_drift_demo(args) -> int:
     if patch.topology not in ("fm-stack", "fm-stack-naive"):
         raise UsageError("drift-demo expects an fm-stack or fm-stack-naive patch")
     _check_finite(args, "tolerance_hz")
-    spec, grid = _measure_patch(patch, _analysis_grid(args.grid_hz, [patch]), args.window)
+    spec, grid = _measure_patch(patch, args.grid_hz, args.window)
     max_offset, offenders = detect_carrier_drift(spec, grid, args.tolerance_hz)
     ok = max_offset <= args.tolerance_hz
     print(

@@ -35,47 +35,40 @@ class PMParams:
             raise ValueError("sample rate must be positive")
 
 
-def render_pm1(params: PMParams, n_samples: int, phase_offset: float = 0.0) -> np.ndarray:
-    """First-order PM: cos(2*pi*fc*t + z*sin(2*pi*fm*t) + phase_offset).
+def render_pm_chain(params: PMParams, n_samples: int, phase_offset: float = 0.0) -> np.ndarray:
+    """PM stack of any depth: cos(2*pi*fc*t + m + phase_offset), where each
+    modulator, top first, makes m = z*sin(2*pi*f*t + m) from m = 0.
 
     phase_offset models a constant added to the carrier phase (e.g. a DC
     component of the modulation signal).
     """
-    if len(params.fm) != 1:
-        raise ValueError("render_pm1 needs exactly one modulation order")
     t = np.arange(n_samples) / params.sample_rate
-    wc = 2.0 * np.pi * params.fc
-    wm = 2.0 * np.pi * params.fm[0]
-    # cos(wc*t + z*sin(wm*t) + phase_offset), evaluated in place
-    mod = wm * t
-    np.sin(mod, out=mod)
-    mod *= params.z[0]
-    t *= wc
-    t += mod
+    mod = None
+    for f, z in zip(params.fm, params.z):  # each level in place
+        x = (2.0 * np.pi * f) * t
+        if mod is not None:
+            x += mod
+        mod = np.sin(x, out=x)
+        mod *= z
+    t *= 2.0 * np.pi * params.fc
+    if mod is not None:
+        t += mod
     t += phase_offset
     return np.cos(t, out=t)
+
+
+def render_pm1(params: PMParams, n_samples: int, phase_offset: float = 0.0) -> np.ndarray:
+    """First-order PM: cos(2*pi*fc*t + z*sin(2*pi*fm*t) + phase_offset)."""
+    if len(params.fm) != 1:
+        raise ValueError("render_pm1 needs exactly one modulation order")
+    return render_pm_chain(params, n_samples, phase_offset)
 
 
 def render_pm2(params: PMParams, n_samples: int) -> np.ndarray:
     """Second-order PM: cos(2*pi*fc*t + z1*sin(2*pi*fm1*t + z0*sin(2*pi*fm0*t)))."""
     if len(params.fm) != 2:
         raise ValueError("render_pm2 needs exactly two modulation orders")
-    t = np.arange(n_samples) / params.sample_rate
-    wc = 2.0 * np.pi * params.fc
-    wm0 = 2.0 * np.pi * params.fm[0]
-    wm1 = 2.0 * np.pi * params.fm[1]
-    z0, z1 = params.z
-    # cos(wc*t + z1*sin(wm1*t + z0*sin(wm0*t))), evaluated in place
-    inner = wm0 * t
-    np.sin(inner, out=inner)
-    inner *= z0
-    mod = wm1 * t
-    mod += inner
-    np.sin(mod, out=mod)
-    mod *= z1
-    t *= wc
-    t += mod
-    return np.cos(t, out=t)
+    return render_pm_chain(params, n_samples)
 
 
 def render_feedback_pm(

@@ -10,6 +10,7 @@ from fmstack.cli import TOPOLOGIES, PatchSpec, Topology, UsageError, main, rende
 from fmstack.operators import DEFAULT_BLOCK_SIZE, InstabilityError
 
 FIG3_OPS = ["--op", "3:500", "--op", "2:500", "--op", "1:500"]
+_FIG3_96K = FIG3_OPS + ["--sr", "96000", "--dur", "0.064"]
 
 
 def test_render_pure_tone(tmp_path):
@@ -109,6 +110,14 @@ def test_compare_fm_stack_vs_pm2(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("depth", [4, 5])
+def test_compare_fm_stack_vs_pm_stack_at_depth(depth, capsys):
+    code = main(["compare", "--topology-a", "fm-stack", "--topology-b", "pm-stack", *["--op", "1:500"] * depth,
+                 "--sr", "96000", "--dur", "0.064", "--tolerance-db", "1", "--floor-db", "-60"])
+    assert code == 0
+    assert "PASS" in capsys.readouterr().out
+
+
 def test_compare_naive_stack_fails(capsys):
     code = main(["compare", "--topology-a", "fm-stack-naive", "--topology-b", "pm2"] + FIG3_OPS
                 + ["--sr", "96000", "--dur", "0.064", "--tolerance-db", "1", "--floor-db", "-60"])
@@ -190,6 +199,8 @@ def test_patch_json_file(tmp_path):
     ["render", "--patch", json.dumps({"topology": "pm1"}), "--out", "x.wav"],  # missing keys
     ["render", "--patch", json.dumps({"topology": "warp", "operators": [[1, 2]]}), "--out", "x.wav"],
     ["render", "--out", "x.wav"],                                              # no topology
+    ["render", "--topology", "pm-stack", "--op", "1:440", "--out", "x.wav"],    # pm-stack takes 2 to 64
+    ["render", "--topology", "pm-stack", *["--op", "1:440"] * 65, "--out", "x.wav"],
 ])
 def test_usage_errors_exit_2(argv, tmp_path):
     assert main(argv[:-1] + [str(tmp_path / "x.wav")]) == 2
@@ -222,14 +233,17 @@ def test_usage_errors_exit_2(argv, tmp_path):
       for grid in ("nan", "inf", "-500", "0")],
     ["spectrum", "--topology", "fm-stack", "--op", "1:4e-7", "--sr", "96000", "--dur", "0.064"],  # grid rounds to 0
     ["spectrum", "--topology", "pm1", "--op", "1:1e303", "--op", "1:500", "--sr", "96000", "--dur", "0.064"],
+    # a given grid that does not divide the rate (7, 333.3 Hz) or fits fewer than 16 periods (1e-3 Hz)
+    *[["spectrum", "--topology", "fm-stack", *_FIG3_96K, "--grid-hz", grid] for grid in ("7", "333.3", "1e-3")],
+    # a negative modulation index or a modulation frequency <= 0
+    ["render", "--topology", "pm1", "--op=-1:500", "--op", "1:440"],
+    ["spectrum", "--topology", "fm-stack", "--op", "1:500", "--op=-1:500", "--op", "1:500", "--mode", "predicted"],
+    ["spectrum", "--topology", "fm-stack", "--op", "1:-500", "--op", "1:500", "--mode", "predicted"],
 ])
 def test_bad_values_exit_2_without_file(argv, tmp_path):
     out = tmp_path / "x.wav"
     assert main(argv + ["--out", str(out)]) == 2
     assert not out.exists()
-
-
-_FIG3_96K = FIG3_OPS + ["--sr", "96000", "--dur", "0.064"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -245,6 +259,9 @@ _FIG3_96K = FIG3_OPS + ["--sr", "96000", "--dur", "0.064"]
       for flag in ("--floor-db", "--tolerance-db") for value in ("nan", "inf", "-inf")],
     *[["drift-demo", "--topology", "fm-stack-naive", *_FIG3_96K, "--tolerance-hz=" + value]
       for value in ("nan", "inf", "-inf")],
+    # a given grid is never replaced: the naive stack is ~164 Hz off the 500 Hz grid
+    *[["drift-demo", "--topology", "fm-stack-naive", *FIG3_OPS, "--sr", "96000", "--dur", "0.128", "--grid-hz", grid]
+      for grid in ("7", "333.3", "1e-3")],
 ])
 def test_bad_analysis_values_exit_2(argv, capsys):
     assert main(argv) == 2

@@ -4,8 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fmstack.analysis import AnalysisFrame, detect_carrier_drift, measure_spectrum
-from fmstack.pm import PMParams, render_feedback_pm, render_pm1, render_pm2
-from oracles import bessel_series, feedback_pm_loop, pm1_expression, pm2_expression
+from fmstack.pm import PMParams, render_feedback_pm, render_pm1, render_pm2, render_pm_chain
+from oracles import bessel_series, feedback_pm_loop, pm1_expression, pm2_expression, pm_chain
 
 FS = 48000.0
 
@@ -136,6 +136,13 @@ def test_pm1_matches_expression_oracle_bitwise(fc, fm, z, sr, n, offset):
 def test_pm2_matches_expression_oracle_bitwise(fc, fm, z, sr, n):
     params = PMParams(fc, fm, z, sr)
     assert render_pm2(params, n).tobytes() == pm2_expression(params, n).tobytes()
+
+
+@given(amp=st.floats(-4.0, 4.0), fc=_freqs, mods=st.lists(st.tuples(_indices, _freqs), max_size=8), sr=_rates,
+       n=st.integers(0, 2000))
+def test_pm_chain_matches_oracle_bitwise(amp, fc, mods, sr, n):
+    params = PMParams(fc, [f for _, f in mods], [z for z, _ in mods], sr)
+    assert (render_pm_chain(params, n) * amp).tobytes() == pm_chain([*mods, (amp, fc)], n, sr).tobytes()
 
 
 @settings(max_examples=40, deadline=None)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from fmstack.cli import main
+from fmstack.cli import TOPOLOGIES, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -54,3 +54,8 @@ def test_readme_lists_every_subcommand():
 def test_readme_command(argv, code, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == code
+
+
+def test_readme_names_every_topology():
+    paragraph = re.search(r"^Topologies:.*?(?=\n\n)", README.read_text(), re.S | re.M).group(0)
+    assert set(re.findall(r"`([a-z][a-z0-9-]*)`", paragraph)) == set(TOPOLOGIES)
