@@ -15,7 +15,6 @@ from .operators import (
     Block,
     InstabilityError,
     Operator,
-    default_cosine_table,
     render_feedback_fm,
     render_naive_stack,
     render_stack,
@@ -30,13 +29,7 @@ from .spectrum import (
     predict_second_order,
     predict_stack,
 )
-from .wavetable import (
-    PHASE_BITS,
-    PHASE_MODULUS,
-    PhaseAccumulator,
-    freq_to_increment,
-    make_cosine_table,
-)
+from .wavetable import COSINE_TABLE, PHASE_BITS, PHASE_MODULUS, PhaseAccumulator, freq_to_increment
 
 __version__ = "0.1.0"
 
@@ -44,6 +37,7 @@ __all__ = [
     "AnalysisFrame",
     "Block",
     "BudgetExceededError",
+    "COSINE_TABLE",
     "InstabilityError",
     "LineSpectrum",
     "MeasuredSpectrum",
@@ -56,11 +50,9 @@ __all__ = [
     "WavSpec",
     "bessel_j",
     "bessel_row",
-    "default_cosine_table",
     "detect_carrier_drift",
     "fit_spectral_slope",
     "freq_to_increment",
-    "make_cosine_table",
     "measure_dc",
     "measure_spectrum",
     "merge_and_fold",

@@ -63,11 +63,10 @@ class MeasuredSpectrum:
 
     freqs: np.ndarray
     mags: np.ndarray
-    phases: np.ndarray
 
 
 def measure_spectrum(frame: AnalysisFrame, window: str = "rectangular") -> MeasuredSpectrum:
-    """One-sided magnitude/phase spectrum of a frame.
+    """One-sided magnitude spectrum of a frame.
 
     The rectangular window is exact for bin-centered partials; 'hann'
     (periodic form) trades exactness for leakage control on off-grid peaks.
@@ -88,7 +87,7 @@ def measure_spectrum(frame: AnalysisFrame, window: str = "rectangular") -> Measu
     if n % 2 == 0:
         mags[-1] *= 0.5  # Nyquist bin is not doubled
     freqs = np.arange(len(spectrum)) * (frame.sample_rate / n)
-    return MeasuredSpectrum(freqs, mags, np.angle(spectrum))
+    return MeasuredSpectrum(freqs, mags)
 
 
 def detect_carrier_drift(

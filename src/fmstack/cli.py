@@ -171,16 +171,17 @@ def predict_patch(patch: PatchSpec) -> LineSpectrum:
 
 
 def _analysis_grid(grid_hz: float | None, patches: list[PatchSpec]) -> float:
-    """The --grid-hz value or, when it is not given, the gcd of all operator
-    frequencies of the patches, on values rounded to 1e-6 Hz."""
+    """The --grid-hz value or, when it is not given, the gcd of the magnitudes
+    of all nonzero operator frequencies of the patches, on values rounded to
+    1e-6 Hz."""
     if grid_hz is not None:  # checked where it is used, by _grid_period
         return grid_hz
     try:
-        micro = [round(f * 1e6) for p in patches for _, f in p.operators if f > 0]
+        micro = [round(abs(f) * 1e6) for p in patches for _, f in p.operators if f]
     except OverflowError as exc:  # f * 1e6 past the double range
         raise UsageError("operator frequency too large to build a grid from; give --grid-hz") from exc
     if not micro:
-        raise UsageError("patch has no positive frequencies to build a grid from")
+        raise UsageError("patch has no nonzero frequencies to build a grid from")
     grid = math.gcd(*micro) / 1e6
     if grid == 0:
         raise UsageError("operator frequencies round to a 0 Hz grid at 1e-6 Hz; give --grid-hz")
@@ -228,8 +229,12 @@ def _patch_from_args(args, suffix="") -> PatchSpec:
     if patch_json:
         if patch_json.lstrip().startswith("{"):
             return PatchSpec.from_json(patch_json)
-        with open(patch_json) as fh:
-            return PatchSpec.from_json(fh.read())
+        try:
+            with open(patch_json, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UsageError(f"cannot read patch file {patch_json}: {exc}") from exc
+        return PatchSpec.from_json(text)
     topology = getattr(args, "topology" + suffix, None)
     if topology is None:
         raise UsageError(f"need --topology{suffix.replace('_', '-')} or --patch{suffix.replace('_', '-')}")
@@ -320,7 +325,9 @@ def cmd_drift_demo(args) -> int:
     if patch.topology not in ("fm-stack", "fm-stack-naive"):
         raise UsageError("drift-demo expects an fm-stack or fm-stack-naive patch")
     _check_finite(args, "tolerance_hz")
-    spec, grid = _measure_patch(patch, args.grid_hz, args.window)
+    # the patch's own grid, given to _measure_patch so that it has no fallback
+    grid = _analysis_grid(args.grid_hz, [patch])
+    spec, _ = _measure_patch(patch, grid, args.window)
     max_offset, offenders = detect_carrier_drift(spec, grid, args.tolerance_hz)
     ok = max_offset <= args.tolerance_hz
     print(

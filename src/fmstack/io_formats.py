@@ -20,16 +20,13 @@ log = logging.getLogger(__name__)
 class WavSpec:
     sample_rate: int
     bit_depth: int = 32  # 16 = integer PCM, 32 = IEEE float
-    channels: int = 1
 
     def __post_init__(self):
         if self.sample_rate <= 0:
             raise ValueError("sample rate must be positive")
         if self.bit_depth not in (16, 32):
             raise ValueError("bit depth must be 16 or 32")
-        if self.channels != 1:
-            raise ValueError("only mono files are written")
-        if self.sample_rate * self.channels * (self.bit_depth // 8) > 0xFFFFFFFF:
+        if self.sample_rate * (self.bit_depth // 8) > 0xFFFFFFFF:
             raise ValueError(
                 f"sample rate {self.sample_rate} Hz at {self.bit_depth} bits overflows "
                 "the 32-bit byte rate field of a WAV header"
@@ -64,16 +61,16 @@ def write_wav(path, samples, spec: WavSpec) -> None:
         fmt_tag = 3
         data = samples.astype("<f4")
     bytes_per_sample = spec.bit_depth // 8
-    byte_rate = spec.sample_rate * spec.channels * bytes_per_sample
+    byte_rate = spec.sample_rate * bytes_per_sample
     header = b"RIFF" + struct.pack("<I", 36 + data.nbytes) + b"WAVE"
     header += b"fmt " + struct.pack(
         "<IHHIIHH",
         16,
         fmt_tag,
-        spec.channels,
+        1,  # channels
         spec.sample_rate,
         byte_rate,
-        spec.channels * bytes_per_sample,
+        bytes_per_sample,  # block align
         spec.bit_depth,
     )
     header += b"data" + struct.pack("<I", data.nbytes)

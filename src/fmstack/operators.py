@@ -13,23 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .wavetable import PHASE_MODULUS, PhaseAccumulator, make_cosine_table
+from .wavetable import COSINE_TABLE, DIFF_TABLE, FRAC_SCALE, PHASE_MODULUS, PhaseAccumulator
 
 # Chunk length of stack renders. Output is bit-identical at any size; 8192
 # was the fastest size measured (64 to whole-buffer), and chunking bounds the
 # temporaries of long renders.
 DEFAULT_BLOCK_SIZE = 8192
-
-_shared_table = None
-
-
-def default_cosine_table() -> np.ndarray:
-    """Shared read-only 1025-point cosine table."""
-    global _shared_table
-    if _shared_table is None:
-        _shared_table = make_cosine_table()
-    return _shared_table
-
 
 class InstabilityError(RuntimeError):
     """A feedback loop diverged."""
@@ -56,9 +45,8 @@ class Operator:
     deviation rule for demonstration purposes; the audio path is identical.
     """
 
-    def __init__(self, sample_rate: float, table: np.ndarray | None = None):
-        self.table = default_cosine_table() if table is None else np.asarray(table, dtype=np.float64)
-        self.acc = PhaseAccumulator(len(self.table), sample_rate)
+    def __init__(self, sample_rate: float):
+        self.acc = PhaseAccumulator(sample_rate)
         self.sample_rate = float(sample_rate)
 
     def tick(self, amp: float, freq_hz: float, mod_in: float = 0.0, naive: bool = False) -> tuple[float, float]:
@@ -66,7 +54,7 @@ class Operator:
         f = freq_hz + mod_in
         if not abs(f) < self.sample_rate:
             raise ValueError(f"instantaneous frequency {f} Hz aliases at fs={self.sample_rate}")
-        s = self.acc.tick(self.table, amp, int(f * self.acc.freq_scale))
+        s = self.acc.tick(amp, int(f * self.acc.freq_scale))
         return s, s * (freq_hz if naive else f)
 
     def process(
@@ -89,7 +77,7 @@ class Operator:
             if not abs(freq) < sr:
                 raise ValueError(f"instantaneous frequency aliases at fs={sr}")
             increments = np.full(n_samples, int(freq * self.acc.freq_scale), dtype=np.int64)
-            audio = self.acc.run(self.table, amp, increments)
+            audio = self.acc.run(amp, increments)
             return audio, audio * freq
         f = freq_hz + np.asarray(fm, dtype=np.float64)
         # min and max are NaN if any sample is
@@ -98,19 +86,18 @@ class Operator:
         # the product truncates toward zero as it is cast into the int64 output
         increments = np.empty(len(f), dtype=np.int64)
         np.multiply(f, self.acc.freq_scale, out=increments, casting="unsafe")
-        audio = self.acc.run(self.table, amp, increments)
+        audio = self.acc.run(amp, increments)
         # the modulation output takes over the buffer of f
         modulation = np.multiply(audio, freq_hz if naive else f, out=f)
         return audio, modulation
 
 
-def _render(params, n_samples, sample_rate, table, block_size, naive) -> Block:
+def _render(params, n_samples, sample_rate, block_size, naive) -> Block:
     if not params:
         raise ValueError("stack needs at least one operator")
     if block_size < 1:
         raise ValueError("block size must be >= 1")
-    tab = default_cosine_table() if table is None else table
-    ops = [Operator(sample_rate, tab) for _ in params]
+    ops = [Operator(sample_rate) for _ in params]
     audio_out = np.empty(n_samples)
     mod_out = np.empty(n_samples)
     pos = 0
@@ -129,7 +116,6 @@ def render_stack(
     params: list[tuple[float, float]],
     n_samples: int,
     sample_rate: float,
-    table: np.ndarray | None = None,
     block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> Block:
     """Render a modulation stack, top operator first.
@@ -137,19 +123,18 @@ def render_stack(
     params lists (amp_or_index, freq_hz) pairs top to bottom: every entry but
     the last acts as a modulation index, the last is the output amplitude.
     """
-    return _render(params, n_samples, sample_rate, table, block_size, naive=False)
+    return _render(params, n_samples, sample_rate, block_size, naive=False)
 
 
 def render_naive_stack(
     params: list[tuple[float, float]],
     n_samples: int,
     sample_rate: float,
-    table: np.ndarray | None = None,
     block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> Block:
     """Same wiring as render_stack but with the incorrect static-frequency
     modulation outputs, kept as the carrier-drift demonstration."""
-    return _render(params, n_samples, sample_rate, table, block_size, naive=True)
+    return _render(params, n_samples, sample_rate, block_size, naive=True)
 
 
 def render_feedback_fm(
@@ -158,7 +143,6 @@ def render_feedback_fm(
     feedback_gain: float,
     n_samples: int,
     sample_rate: float,
-    table: np.ndarray | None = None,
 ) -> Block:
     """One operator modulated by its own unit-delayed modulation output.
 
@@ -166,17 +150,16 @@ def render_feedback_fm(
     level. Raises InstabilityError when the loop diverges (|modulation| past
     10x the sample rate, or the instantaneous frequency aliasing).
     """
-    op = Operator(sample_rate, table)
     # Operator.tick inlined: the loop is serial, so per-sample call and numpy
     # scalar overhead is the whole cost. Same arithmetic, same guards. The
     # phase register is a float holding an integer in [0, 2**32): every sum
     # stays below 2**53, so it is exact, and float arithmetic is faster than
     # Python's two-digit ints for phases past 2**30.
-    tab = op.table.tolist()
-    dtab = (op.table[1:] - op.table[:-1]).tolist()
-    frac_scale, freq_scale = op.acc.frac_scale, op.acc.freq_scale
+    tab = COSINE_TABLE.tolist()
+    dtab = DIFF_TABLE.tolist()
+    frac_scale, freq_scale = FRAC_SCALE, PHASE_MODULUS / sample_rate
     modulus = float(PHASE_MODULUS)
-    sr = op.sample_rate
+    sr = float(sample_rate)
     audio = array("d", bytes(8 * n_samples))
     modulation = array("d", bytes(8 * n_samples))
     limit = 10.0 * sample_rate

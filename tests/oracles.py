@@ -22,7 +22,7 @@ from fmstack.spectrum import (
     TruncationPolicy,
     _sideband_count,
 )
-from fmstack.wavetable import _PHASE_MASK, PHASE_MODULUS
+from fmstack.wavetable import _PHASE_MASK, COSINE_TABLE, FRAC_BITS, FRAC_MASK, FRAC_SCALE, PHASE_MODULUS
 
 
 def bessel_series(n: int, z: float, terms: int = 100) -> float:
@@ -62,9 +62,9 @@ def naive_dft_mags(samples, sample_rate):
     return freqs, mags
 
 
-def feedback_fm_ticks(amp, freq_hz, feedback_gain, n_samples, sample_rate, table=None):
+def feedback_fm_ticks(amp, freq_hz, feedback_gain, n_samples, sample_rate):
     """render_feedback_fm as one Operator.tick call per sample."""
-    op = Operator(sample_rate, table)
+    op = Operator(sample_rate)
     audio = np.empty(n_samples)
     modulation = np.empty(n_samples)
     limit = 10.0 * sample_rate
@@ -322,7 +322,7 @@ def pm_chain(params, n_samples, sample_rate):
 log = logging.getLogger("oracles")
 
 
-def phase_accumulator_run(self, table: np.ndarray, amp: float, increments: np.ndarray) -> np.ndarray:
+def phase_accumulator_run(self, amp: float, increments: np.ndarray) -> np.ndarray:
     """PhaseAccumulator.run, called with the accumulator as `self`."""
     inc = np.asarray(increments, dtype=np.int64).astype(np.uint32)
     if len(inc) == 0:
@@ -331,10 +331,10 @@ def phase_accumulator_run(self, table: np.ndarray, amp: float, increments: np.nd
     phases[0] = self.phase
     phases[1:] = inc[:-1]
     np.cumsum(phases, dtype=np.uint32, out=phases)
-    idx = (phases >> self.frac_bits).astype(np.intp)
-    frac = (phases & self.frac_mask) * self.frac_scale
-    base = table[idx]
-    out = amp * (base + frac * (table[idx + 1] - base))
+    idx = (phases >> FRAC_BITS).astype(np.intp)
+    frac = (phases & FRAC_MASK) * FRAC_SCALE
+    base = COSINE_TABLE[idx]
+    out = amp * (base + frac * (COSINE_TABLE[idx + 1] - base))
     # Python ints: numpy uint32 scalar addition warns on overflow
     self.phase = (int(phases[-1]) + int(inc[-1])) & _PHASE_MASK
     return out
@@ -358,7 +358,7 @@ def operator_process(
     if not np.all(np.abs(f) < self.sample_rate):
         raise ValueError(f"instantaneous frequency aliases at fs={self.sample_rate}")
     increments = (f * self.acc.freq_scale).astype(np.int64)
-    audio = phase_accumulator_run(self.acc, self.table, amp, increments)
+    audio = phase_accumulator_run(self.acc, amp, increments)
     modulation = audio * (freq_hz if naive else f)
     return audio, modulation
 
@@ -369,15 +369,14 @@ def feedback_fm_int_phase(
     feedback_gain: float,
     n_samples: int,
     sample_rate: float,
-    table: np.ndarray | None = None,
 ) -> Block:
     """render_feedback_fm with its phase register as a Python int."""
-    op = Operator(sample_rate, table)
+    op = Operator(sample_rate)
     # Operator.tick inlined: the loop is serial, so per-sample call and numpy
     # scalar overhead is the whole cost. Same arithmetic, same guards.
-    tab = op.table.tolist()
-    frac_bits, frac_mask = op.acc.frac_bits, op.acc.frac_mask
-    frac_scale, freq_scale = op.acc.frac_scale, op.acc.freq_scale
+    tab = COSINE_TABLE.tolist()
+    frac_bits, frac_mask = FRAC_BITS, FRAC_MASK
+    frac_scale, freq_scale = FRAC_SCALE, op.acc.freq_scale
     phase_mask = PHASE_MODULUS - 1
     sr = op.sample_rate
     audio = array("d", bytes(8 * n_samples))
@@ -461,16 +460,16 @@ def write_wav_clip_copy(path, samples, spec) -> None:
         fmt_tag = 3
         data = samples.astype("<f4").tobytes()
     bytes_per_sample = spec.bit_depth // 8
-    byte_rate = spec.sample_rate * spec.channels * bytes_per_sample
+    byte_rate = spec.sample_rate * bytes_per_sample
     header = b"RIFF" + struct.pack("<I", 36 + len(data)) + b"WAVE"
     header += b"fmt " + struct.pack(
         "<IHHIIHH",
         16,
         fmt_tag,
-        spec.channels,
+        1,
         spec.sample_rate,
         byte_rate,
-        spec.channels * bytes_per_sample,
+        bytes_per_sample,
         spec.bit_depth,
     )
     header += b"data" + struct.pack("<I", len(data))

@@ -13,7 +13,7 @@ from fmstack.cli import main
 from fmstack.operators import render_feedback_fm, render_stack
 from fmstack.pm import PMParams, render_feedback_pm, render_pm2
 from fmstack.spectrum import TruncationPolicy, predict_first_order, predict_second_order
-from fmstack.wavetable import PHASE_MODULUS, PhaseAccumulator, freq_to_increment, make_cosine_table
+from fmstack.wavetable import PHASE_MODULUS, PhaseAccumulator, freq_to_increment
 from oracles import bessel_series
 
 FIG3_OPS = ["--op", "3:500", "--op", "2:500", "--op", "1:500"]
@@ -140,16 +140,15 @@ def test_criterion_6_bessel_suite():
 
 
 def test_criterion_7_bit_exact_oscillator():
-    table = make_cosine_table(1025)
-    acc = PhaseAccumulator(1025, 48000.0)
+    acc = PhaseAccumulator(48000.0)
     inc = freq_to_increment(437.19, 48000.0)
     n = 4096
-    acc.run(table, 1.0, np.full(n, inc, dtype=np.int64))
+    acc.run(1.0, np.full(n, inc, dtype=np.int64))
     assert acc.phase == (n * inc) % PHASE_MODULUS
 
-    acc2 = PhaseAccumulator(1025, 48000.0)
+    acc2 = PhaseAccumulator(48000.0)
     inc2 = freq_to_increment(500.0, 48000.0)
-    out = acc2.run(table, 1.0, np.full(96, inc2, dtype=np.int64))
+    out = acc2.run(1.0, np.full(96, inc2, dtype=np.int64))
     err = np.abs(out - np.cos(2.0 * np.pi * 500.0 * np.arange(96) / 48000.0)).max()
     assert err <= 5e-6
     print(f"ACCEPTANCE 7 PASS - phase register equals closed-form wrap exactly; "

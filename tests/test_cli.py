@@ -156,6 +156,19 @@ def test_drift_demo_single_operator(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("carrier", ["1:300", "1:-300"])
+def test_negative_frequencies_are_analysed_on_the_magnitude_grid(carrier, capsys):
+    # gcd(500, 300) = 100 Hz whatever the signs; 0.2 s holds 20 periods of it
+    ops = ["--op", "1:-500", "--op", carrier, "--sr", "96000", "--dur", "0.2"]
+    assert main(["drift-demo", "--topology", "fm-stack", *ops]) == 0
+    assert "from the 100 Hz grid" in capsys.readouterr().out
+    # the same lines as the patch with +500 Hz: cos is even
+    for top in ("1:-500", "1:500"):
+        assert main(["compare", "--topology-a", "fm-stack", "--topology-b", "pm-stack", "--op", top,
+                     *ops[2:]]) == 0
+        assert "over 9 lines" in capsys.readouterr().out
+
+
 def test_drift_demo_rejects_pm_topology():
     code = main(["drift-demo", "--topology", "pm1", "--op", "2:500", "--op", "1:500",
                  "--sr", "48000", "--dur", "0.1"])
@@ -239,6 +252,9 @@ def test_usage_errors_exit_2(argv, tmp_path):
     ["render", "--topology", "pm1", "--op=-1:500", "--op", "1:440"],
     ["spectrum", "--topology", "fm-stack", "--op", "1:500", "--op=-1:500", "--op", "1:500", "--mode", "predicted"],
     ["spectrum", "--topology", "fm-stack", "--op", "1:-500", "--op", "1:500", "--mode", "predicted"],
+    # a patch file that cannot be read: a missing path or a directory
+    ["render", "--patch", "no-such-dir/patch.json"],
+    ["render", "--patch", "."],
 ])
 def test_bad_values_exit_2_without_file(argv, tmp_path):
     out = tmp_path / "x.wav"
@@ -262,12 +278,25 @@ def test_bad_values_exit_2_without_file(argv, tmp_path):
     # a given grid is never replaced: the naive stack is ~164 Hz off the 500 Hz grid
     *[["drift-demo", "--topology", "fm-stack-naive", *FIG3_OPS, "--sr", "96000", "--dur", "0.128", "--grid-hz", grid]
       for grid in ("7", "333.3", "1e-3")],
+    # nor is a derived one: 440.3 Hz does not divide 96 kHz, and 0.128 s holds
+    # fewer than 16 periods of the 100 Hz grid of 500 and 300 Hz, of either sign
+    ["drift-demo", "--topology", "fm-stack", "--op", "1:440.3", "--op", "1:440.3", "--sr", "96000", "--dur", "0.2"],
+    *[["drift-demo", "--topology", "fm-stack", "--op", top, "--op", "1:300", "--sr", "96000", "--dur", "0.128"]
+      for top in ("1:500", "1:-500")],
 ])
 def test_bad_analysis_values_exit_2(argv, capsys):
     assert main(argv) == 2
     printed = capsys.readouterr()
     assert printed.out == ""
     assert printed.err.startswith("error: ")
+
+
+def test_patch_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "patch.json"
+    path.write_bytes(b'{"topology": "fm-stack", "operators": [[1, 500]], "name": "\xe9"}')
+    assert main(["render", "--patch", str(path), "--out", str(tmp_path / "x.wav")]) == 2
+    assert "utf-8" in capsys.readouterr().err
+    assert not (tmp_path / "x.wav").exists()
 
 
 def test_other_commands_accept_non_integer_rates(tmp_path):

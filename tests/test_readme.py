@@ -1,11 +1,14 @@
-"""Every `fmstack` command of the README's CLI block runs as documented."""
+"""Every `fmstack` command of the README's CLI block runs as documented, and
+every name the README and the package export exists."""
 
+import importlib
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+import fmstack
 from fmstack.cli import TOPOLOGIES, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -54,6 +57,29 @@ def test_readme_lists_every_subcommand():
 def test_readme_command(argv, code, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == code
+
+
+def test_package_exports_resolve():
+    assert len(set(fmstack.__all__)) == len(fmstack.__all__)
+    assert [name for name in fmstack.__all__ if not hasattr(fmstack, name)] == []
+
+
+def _layout_rows() -> list[tuple[str, list[str]]]:
+    """(module, backticked names of its contents) per row of the Layout table."""
+    table = re.search(r"^## Layout\n.*?^\|---\|---\|\n(.*?)\n\n", README.read_text(), re.S | re.M).group(1)
+    rows = [re.fullmatch(r"\| `([\w.]+)` \| (.*) \|", line) for line in table.splitlines()]
+    assert all(rows), table
+    return [(row.group(1), re.findall(r"`([^`]+)`", row.group(2))) for row in rows]
+
+
+LAYOUT = _layout_rows()
+
+
+@pytest.mark.parametrize("module,names", LAYOUT, ids=[module for module, _ in LAYOUT])
+def test_readme_layout_names_exist(module, names):
+    mod = importlib.import_module(module)
+    assert names
+    assert [name for name in names if not hasattr(mod, name)] == []
 
 
 def test_readme_names_every_topology():

@@ -4,39 +4,33 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fmstack.wavetable import (
+    COSINE_TABLE,
+    DIFF_TABLE,
     PHASE_MODULUS,
     PhaseAccumulator,
     freq_to_increment,
-    make_cosine_table,
 )
 from oracles import phase_accumulator_run
 
 
 def test_cosine_table_endpoints():
-    table = make_cosine_table(1025)
-    assert table[0] == 1.0
-    assert abs(table[256]) < 1e-12  # quarter period
-    assert table[1024] == 1.0
-
-
-def test_cosine_table_small():
-    table = make_cosine_table(17)
-    assert table[8] == -1.0
+    assert len(COSINE_TABLE) == 1025 and len(DIFF_TABLE) == 1024
+    assert COSINE_TABLE[0] == 1.0
+    assert abs(COSINE_TABLE[256]) < 1e-12  # quarter period
+    assert COSINE_TABLE[512] == -1.0  # half period
+    assert COSINE_TABLE[1024] == 1.0
+    assert not COSINE_TABLE.flags.writeable and not DIFF_TABLE.flags.writeable
 
 
 def test_cosine_table_matches_cos():
-    for k in range(4, 11):
-        size = 2**k + 1
-        table = make_cosine_table(size)
-        ideal = np.cos(2.0 * np.pi * np.arange(size) / (size - 1))
-        assert np.abs(table[:-1] - ideal[:-1]).max() < 1e-15
-        assert table[-1] == table[0]
-
-
-@pytest.mark.parametrize("size", [1000, 9, 16, 1024, 2])
-def test_bad_table_sizes(size):
-    with pytest.raises(ValueError):
-        make_cosine_table(size)
+    ideal = np.cos(2.0 * np.pi * np.arange(1025) / 1024)
+    assert np.abs(COSINE_TABLE[:-1] - ideal[:-1]).max() < 1e-15
+    assert COSINE_TABLE[-1] == COSINE_TABLE[0]
+    assert np.array_equal(DIFF_TABLE, COSINE_TABLE[1:] - COSINE_TABLE[:-1])
+    # linear interpolation is worst midway between points: h**2 / 8 for step h
+    mid = COSINE_TABLE[:-1] + 0.5 * DIFF_TABLE
+    err = np.abs(mid - np.cos(2.0 * np.pi * (np.arange(1024) + 0.5) / 1024)).max()
+    assert 4e-6 < err <= (2.0 * np.pi / 1024) ** 2 / 8
 
 
 def test_freq_to_increment():
@@ -55,65 +49,59 @@ def test_increment_out_of_range(freq):
 
 
 def test_tick_trivial():
-    table = make_cosine_table(1025)
-    acc = PhaseAccumulator(1025, 48000)
-    assert acc.tick(table, 0.0, 12345) == 0.0
-    acc2 = PhaseAccumulator(1025, 48000)
-    assert acc2.tick(table, 1.0, 0) == 1.0
+    acc = PhaseAccumulator(48000)
+    assert acc.tick(0.0, 12345) == 0.0
+    acc2 = PhaseAccumulator(48000)
+    assert acc2.tick(1.0, 0) == 1.0
 
 
 def test_sample_after_100_ticks():
     # phase after 100 increments is 100*trunc(480*2^32/48000) mod 2^32,
     # 96 counts short of a full cycle, so the next sample is ~cos(0)
-    table = make_cosine_table(1025)
-    acc = PhaseAccumulator(1025, 48000)
+    acc = PhaseAccumulator(48000)
     inc = freq_to_increment(480.0, 48000)
     for _ in range(100):
-        acc.tick(table, 1.0, inc)
+        acc.tick(1.0, inc)
     assert acc.phase == (100 * inc) % PHASE_MODULUS
-    assert abs(acc.tick(table, 1.0, inc) - 1.0) < 1e-4
+    assert abs(acc.tick(1.0, inc) - 1.0) < 1e-4
 
 
 @pytest.mark.parametrize("freq", [500.0, 480.0, 437.19, -333.33, 12345.6])
 def test_phase_wraparound_exact(freq):
-    table = make_cosine_table(1025)
-    acc = PhaseAccumulator(1025, 48000)
+    acc = PhaseAccumulator(48000)
     inc = freq_to_increment(freq, 48000)
     n = 1000
-    acc.run(table, 1.0, np.full(n, inc, dtype=np.int64))
+    acc.run(1.0, np.full(n, inc, dtype=np.int64))
     assert acc.phase == (n * inc) % PHASE_MODULUS
 
 
 @pytest.mark.parametrize("freq,fs", [(500.0, 48000.0), (437.0, 44100.0), (997.0, 96000.0)])
 def test_interpolation_accuracy_one_period(freq, fs):
-    table = make_cosine_table(1025)
-    acc = PhaseAccumulator(1025, fs)
+    acc = PhaseAccumulator(fs)
     inc = freq_to_increment(freq, fs)
     n = int(np.ceil(fs / freq))
-    out = acc.run(table, 1.0, np.full(n, inc, dtype=np.int64))
+    out = acc.run(1.0, np.full(n, inc, dtype=np.int64))
     ideal = np.cos(2.0 * np.pi * freq * np.arange(n) / fs)
     assert np.abs(out - ideal).max() <= 5e-6
 
 
 def test_amplitude_linearity_exact():
-    table = make_cosine_table(1025)
-    a1 = PhaseAccumulator(1025, 48000)
-    a2 = PhaseAccumulator(1025, 48000)
+    a1 = PhaseAccumulator(48000)
+    a2 = PhaseAccumulator(48000)
     inc = freq_to_increment(777.7, 48000)
     for _ in range(300):
-        s1 = a1.tick(table, 0.35, inc)
-        s2 = a2.tick(table, 0.70, inc)
+        s1 = a1.tick(0.35, inc)
+        s2 = a2.tick(0.70, inc)
         assert s2 == 2.0 * s1
 
 
 def test_run_matches_tick_bitwise():
-    table = make_cosine_table(1025)
     rng = np.random.default_rng(7)
     increments = rng.integers(-(2**26), 2**26, size=500, dtype=np.int64)
-    serial = PhaseAccumulator(1025, 48000)
-    vector = PhaseAccumulator(1025, 48000)
-    expected = np.array([serial.tick(table, 0.9, int(i)) for i in increments])
-    out = vector.run(table, 0.9, increments)
+    serial = PhaseAccumulator(48000)
+    vector = PhaseAccumulator(48000)
+    expected = np.array([serial.tick(0.9, int(i)) for i in increments])
+    out = vector.run(0.9, increments)
     assert np.array_equal(out, expected)
     assert vector.phase == serial.phase
 
@@ -121,27 +109,25 @@ def test_run_matches_tick_bitwise():
 def test_split_runs_match_tick_across_wrap():
     # start just below 2**32: the first increment wraps forward, the mostly
     # negative rest wraps backward several times; split at uneven points
-    table = make_cosine_table(1025)
     rng = np.random.default_rng(11)
     increments = rng.integers(-(2**27), 2**25, size=700, dtype=np.int64)
     increments[0] = 2**26
-    serial = PhaseAccumulator(1025, 48000)
-    vector = PhaseAccumulator(1025, 48000)
+    serial = PhaseAccumulator(48000)
+    vector = PhaseAccumulator(48000)
     serial.phase = vector.phase = PHASE_MODULUS - 12345
-    expected = np.array([serial.tick(table, 0.9, int(i)) for i in increments])
-    parts = [vector.run(table, 0.9, chunk) for chunk in np.split(increments, [1, 250, 251, 600])]
+    expected = np.array([serial.tick(0.9, int(i)) for i in increments])
+    parts = [vector.run(0.9, chunk) for chunk in np.split(increments, [1, 250, 251, 600])]
     assert np.array_equal(np.concatenate(parts), expected)
     assert vector.phase == serial.phase
 
 
 def test_negative_increment_runs_backward():
-    table = make_cosine_table(1025)
-    fwd = PhaseAccumulator(1025, 48000)
-    bwd = PhaseAccumulator(1025, 48000)
+    fwd = PhaseAccumulator(48000)
+    bwd = PhaseAccumulator(48000)
     inc = freq_to_increment(500.0, 48000)
     n = 96
-    up = fwd.run(table, 1.0, np.full(n, inc, dtype=np.int64))
-    down = bwd.run(table, 1.0, np.full(n, -inc, dtype=np.int64))
+    up = fwd.run(1.0, np.full(n, inc, dtype=np.int64))
+    down = bwd.run(1.0, np.full(n, -inc, dtype=np.int64))
     # cosine is even, so reversing phase direction gives the same samples
     assert np.abs(up - down).max() < 1e-5
 
@@ -157,20 +143,18 @@ _increments = st.one_of(
 
 
 @given(
-    size=st.sampled_from([17, 1025, 4097]),
     phase=_phases,
     amp=st.floats(-1e6, 1e6),
     runs=st.lists(st.lists(_increments, max_size=300), min_size=1, max_size=4),
 )
-@example(size=1025, phase=PHASE_MODULUS - 1, amp=1.0, runs=[[1, -2, 2**31, -(2**31)], [PHASE_MODULUS - 1]])
-def test_run_matches_pre_difference_table_oracle_bitwise(size, phase, amp, runs):
-    table = make_cosine_table(size)
-    new = PhaseAccumulator(size, 48000)
-    old = PhaseAccumulator(size, 48000)
+@example(phase=PHASE_MODULUS - 1, amp=1.0, runs=[[1, -2, 2**31, -(2**31)], [PHASE_MODULUS - 1]])
+def test_run_matches_pre_difference_table_oracle_bitwise(phase, amp, runs):
+    new = PhaseAccumulator(48000)
+    old = PhaseAccumulator(48000)
     new.phase = old.phase = phase
     for run in runs:
         increments = np.array(run, dtype=np.int64)
-        got = new.run(table, amp, increments)
-        want = phase_accumulator_run(old, table, amp, increments)
+        got = new.run(amp, increments)
+        want = phase_accumulator_run(old, amp, increments)
         assert got.tobytes() == want.tobytes()
         assert new.phase == old.phase
