@@ -19,14 +19,12 @@ from .operators import (
     render_naive_stack,
     render_stack,
 )
-from .pm import PMParams, render_feedback_pm, render_pm1, render_pm2, render_pm_chain
+from .pm import render_feedback_pm, render_pm_chain
 from .spectrum import (
     BudgetExceededError,
     LineSpectrum,
     TruncationPolicy,
     merge_and_fold,
-    predict_first_order,
-    predict_second_order,
     predict_stack,
 )
 from .wavetable import COSINE_TABLE, PHASE_BITS, PHASE_MODULUS, PhaseAccumulator, freq_to_increment
@@ -44,7 +42,6 @@ __all__ = [
     "Operator",
     "PHASE_BITS",
     "PHASE_MODULUS",
-    "PMParams",
     "PhaseAccumulator",
     "TruncationPolicy",
     "WavSpec",
@@ -56,14 +53,10 @@ __all__ = [
     "measure_dc",
     "measure_spectrum",
     "merge_and_fold",
-    "predict_first_order",
-    "predict_second_order",
     "predict_stack",
     "render_feedback_fm",
     "render_feedback_pm",
     "render_naive_stack",
-    "render_pm1",
-    "render_pm2",
     "render_pm_chain",
     "render_stack",
     "write_spectrum_csv",

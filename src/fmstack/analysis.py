@@ -101,8 +101,8 @@ def detect_carrier_drift(
     component's own window mainlobe. Returns the maximum offset and the
     (frequency, offset) pairs exceeding tolerance_hz.
     """
-    if grid_hz <= 0:
-        raise ValueError("grid must be positive")
+    if not 0 < grid_hz < math.inf:
+        raise ValueError(f"grid must be positive and finite, got {grid_hz}")
     mags = spec.mags
     if len(mags) < 3 or mags.max() <= 0.0:
         return 0.0, []

@@ -22,9 +22,11 @@ def _miller_start(max_order: int, z: float) -> int:
 
 
 def bessel_row(max_order: int, z: float) -> np.ndarray:
-    """J_0(z)..J_max_order(z) as one array; z must be >= 0."""
+    """J_0(z)..J_max_order(z) as one array; z must be finite and >= 0."""
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
+    if not math.isfinite(z):
+        raise ValueError(f"z must be finite, got {z}")
     if z < 0:
         raise ValueError("z must be >= 0 (use bessel_j for signed arguments)")
     row = np.zeros(max_order + 1)

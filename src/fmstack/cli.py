@@ -29,7 +29,7 @@ from .operators import (
     render_naive_stack,
     render_stack,
 )
-from .pm import PMParams, render_feedback_pm, render_pm_chain
+from .pm import render_feedback_pm, render_pm_chain
 from .spectrum import BudgetExceededError, LineSpectrum, predict_stack
 
 _MAX_SAMPLES = (2**32 - 1 - 36) // 4  # 32-bit float samples a RIFF file's size field can hold
@@ -114,14 +114,10 @@ class PatchSpec:
 
 
 def _render_pm(patch: PatchSpec, n_samples: int) -> np.ndarray:
-    *mods, (amp, fc) = patch.operators
     try:
-        params = PMParams(fc, [f for _, f in mods], [z for z, _ in mods], patch.sample_rate)
+        return render_pm_chain(patch.operators, n_samples, patch.sample_rate)
     except ValueError as exc:  # a negative modulation index
         raise UsageError(str(exc)) from exc
-    signal = render_pm_chain(params, n_samples)
-    signal *= amp
-    return signal
 
 
 @dataclass(frozen=True)

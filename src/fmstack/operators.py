@@ -95,6 +95,10 @@ class Operator:
 def _render(params, n_samples, sample_rate, block_size, naive) -> Block:
     if not params:
         raise ValueError("stack needs at least one operator")
+    if not all(math.isfinite(v) for v in (*(v for op in params for v in op), sample_rate)):
+        raise ValueError("operator values and sample rate must be finite")
+    if sample_rate <= 0:
+        raise ValueError("sample rate must be positive")
     if block_size < 1:
         raise ValueError("block size must be >= 1")
     ops = [Operator(sample_rate) for _ in params]
@@ -122,6 +126,7 @@ def render_stack(
 
     params lists (amp_or_index, freq_hz) pairs top to bottom: every entry but
     the last acts as a modulation index, the last is the output amplitude.
+    Non-finite values and a non-positive sample rate raise ValueError.
     """
     return _render(params, n_samples, sample_rate, block_size, naive=False)
 
@@ -149,7 +154,12 @@ def render_feedback_fm(
     feedback_gain scales the fed-back signal independently of the output
     level. Raises InstabilityError when the loop diverges (|modulation| past
     10x the sample rate, or the instantaneous frequency aliasing).
+    Non-finite arguments and a non-positive sample rate raise ValueError.
     """
+    if not all(math.isfinite(v) for v in (amp, freq_hz, feedback_gain, sample_rate)):
+        raise ValueError("amp, frequency, feedback gain and sample rate must be finite")
+    if sample_rate <= 0:
+        raise ValueError("sample rate must be positive")
     # Operator.tick inlined: the loop is serial, so per-sample call and numpy
     # scalar overhead is the whole cost. Same arithmetic, same guards. The
     # phase register is a float holding an integer in [0, 2**32): every sum

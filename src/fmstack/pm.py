@@ -7,7 +7,6 @@ checking the table-based FM engine.
 
 import math
 from array import array
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -15,60 +14,40 @@ import numpy as np
 _FEEDBACK_CHUNK = 8192
 
 
-@dataclass
-class PMParams:
-    """Carrier frequency plus one modulation (frequency, index) pair per order."""
+def render_pm_chain(params: list[tuple[float, float]], n_samples: int, sample_rate: float) -> np.ndarray:
+    """PM stack of any depth: amp*cos(2*pi*fc*t + m), where each modulator,
+    top first, makes m = z*sin(2*pi*f*t + m) from m = 0.
 
-    fc: float
-    fm: list[float] = field(default_factory=list)
-    z: list[float] = field(default_factory=list)
-    sample_rate: float = 48000.0
-
-    def __post_init__(self):
-        if len(self.fm) != len(self.z):
-            raise ValueError("fm and z must have one entry per modulation order")
-        if not all(math.isfinite(v) for v in (self.fc, *self.fm, *self.z, self.sample_rate)):
-            raise ValueError("fc, fm, z and sample rate must be finite")
-        if any(zi < 0 for zi in self.z):
-            raise ValueError("modulation indices must be >= 0")
-        if self.sample_rate <= 0:
-            raise ValueError("sample rate must be positive")
-
-
-def render_pm_chain(params: PMParams, n_samples: int, phase_offset: float = 0.0) -> np.ndarray:
-    """PM stack of any depth: cos(2*pi*fc*t + m + phase_offset), where each
-    modulator, top first, makes m = z*sin(2*pi*f*t + m) from m = 0.
-
-    phase_offset models a constant added to the carrier phase (e.g. a DC
-    component of the modulation signal).
+    params lists (index, freq_hz) pairs top to bottom, the carrier's
+    (amp, freq_hz) last, as for render_stack. Non-finite values, a negative
+    modulation index, a non-positive sample rate, an empty stack and a
+    negative sample count raise ValueError.
     """
-    t = np.arange(n_samples) / params.sample_rate
+    if not params:
+        raise ValueError("stack needs at least one operator")
+    if not all(math.isfinite(v) for v in (*(v for op in params for v in op), sample_rate)):
+        raise ValueError("operator values and sample rate must be finite")
+    *mods, (amp, fc) = params
+    if any(z < 0 for z, _ in mods):
+        raise ValueError("modulation indices must be >= 0")
+    if sample_rate <= 0:
+        raise ValueError("sample rate must be positive")
+    if n_samples < 0:
+        raise ValueError("sample count must be >= 0")
+    t = np.arange(n_samples) / sample_rate
     mod = None
-    for f, z in zip(params.fm, params.z):  # each level in place
+    for z, f in mods:  # each level in place
         x = (2.0 * np.pi * f) * t
         if mod is not None:
             x += mod
         mod = np.sin(x, out=x)
         mod *= z
-    t *= 2.0 * np.pi * params.fc
+    t *= 2.0 * np.pi * fc
     if mod is not None:
         t += mod
-    t += phase_offset
-    return np.cos(t, out=t)
-
-
-def render_pm1(params: PMParams, n_samples: int, phase_offset: float = 0.0) -> np.ndarray:
-    """First-order PM: cos(2*pi*fc*t + z*sin(2*pi*fm*t) + phase_offset)."""
-    if len(params.fm) != 1:
-        raise ValueError("render_pm1 needs exactly one modulation order")
-    return render_pm_chain(params, n_samples, phase_offset)
-
-
-def render_pm2(params: PMParams, n_samples: int) -> np.ndarray:
-    """Second-order PM: cos(2*pi*fc*t + z1*sin(2*pi*fm1*t + z0*sin(2*pi*fm0*t)))."""
-    if len(params.fm) != 2:
-        raise ValueError("render_pm2 needs exactly two modulation orders")
-    return render_pm_chain(params, n_samples)
+    out = np.cos(t, out=t)
+    out *= amp
+    return out
 
 
 def render_feedback_pm(

@@ -263,18 +263,3 @@ def predict_stack(params, policy: TruncationPolicy | None = None) -> LineSpectru
     if not (np.isfinite(spectrum.freqs).all() and np.isfinite(spectrum.amps).all()):
         raise ValueError("predicted line frequencies or amplitudes overflow the double range")
     return spectrum
-
-
-def predict_first_order(
-    fc: float, fm: float, z: float, max_sideband: int | None = None, amplitude_floor: float = 0.0
-) -> LineSpectrum:
-    """Sideband lines of single-modulator FM/PM: J_n(z) at fc + n*fm."""
-    sidebands = _sideband_count(z) if max_sideband is None else max_sideband
-    return predict_stack([(z, fm), (1.0, fc)], TruncationPolicy(sidebands, amplitude_floor))
-
-
-def predict_second_order(
-    fc: float, fm0: float, fm1: float, z0: float, z1: float, policy: TruncationPolicy | None = None
-) -> LineSpectrum:
-    """Truncated line spectrum of a two-stage modulation stack (see `predict_stack`)."""
-    return predict_stack([(z0, fm0), (z1, fm1), (1.0, fc)], policy)

@@ -422,26 +422,23 @@ def feedback_pm_loop(
     return out
 
 
-def pm1_expression(params, n_samples: int, phase_offset: float = 0.0) -> np.ndarray:
-    """render_pm1 as one numpy expression."""
-    if len(params.fm) != 1:
-        raise ValueError("render_pm1 needs exactly one modulation order")
-    t = np.arange(n_samples) / params.sample_rate
-    wc = 2.0 * np.pi * params.fc
-    wm = 2.0 * np.pi * params.fm[0]
-    return np.cos(wc * t + params.z[0] * np.sin(wm * t) + phase_offset)
+def pm1_expression(params, n_samples: int, sample_rate: float, phase_offset: float = 0.0) -> np.ndarray:
+    """First-order PM from [(z, fm), (amp, fc)] as one numpy expression."""
+    (z, fm), (amp, fc) = params
+    t = np.arange(n_samples) / sample_rate
+    wc = 2.0 * np.pi * fc
+    wm = 2.0 * np.pi * fm
+    return amp * np.cos(wc * t + z * np.sin(wm * t) + phase_offset)
 
 
-def pm2_expression(params, n_samples: int) -> np.ndarray:
-    """render_pm2 as one numpy expression."""
-    if len(params.fm) != 2:
-        raise ValueError("render_pm2 needs exactly two modulation orders")
-    t = np.arange(n_samples) / params.sample_rate
-    wc = 2.0 * np.pi * params.fc
-    wm0 = 2.0 * np.pi * params.fm[0]
-    wm1 = 2.0 * np.pi * params.fm[1]
-    z0, z1 = params.z
-    return np.cos(wc * t + z1 * np.sin(wm1 * t + z0 * np.sin(wm0 * t)))
+def pm2_expression(params, n_samples: int, sample_rate: float) -> np.ndarray:
+    """Second-order PM from [(z0, fm0), (z1, fm1), (amp, fc)] as one numpy expression."""
+    (z0, fm0), (z1, fm1), (amp, fc) = params
+    t = np.arange(n_samples) / sample_rate
+    wc = 2.0 * np.pi * fc
+    wm0 = 2.0 * np.pi * fm0
+    wm1 = 2.0 * np.pi * fm1
+    return amp * np.cos(wc * t + z1 * np.sin(wm1 * t + z0 * np.sin(wm0 * t)))
 
 
 def write_wav_clip_copy(path, samples, spec) -> None:

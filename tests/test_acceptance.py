@@ -11,8 +11,8 @@ from fmstack.analysis import AnalysisFrame, measure_dc, measure_spectrum
 from fmstack.bessel import bessel_j, bessel_row
 from fmstack.cli import main
 from fmstack.operators import render_feedback_fm, render_stack
-from fmstack.pm import PMParams, render_feedback_pm, render_pm2
-from fmstack.spectrum import TruncationPolicy, predict_first_order, predict_second_order
+from fmstack.pm import render_feedback_pm, render_pm_chain
+from fmstack.spectrum import TruncationPolicy, predict_stack
 from fmstack.wavetable import PHASE_MODULUS, PhaseAccumulator, freq_to_increment
 from oracles import bessel_series
 
@@ -59,9 +59,9 @@ def test_criterion_3_second_order_predictor_vs_oracle():
     fs = 96000.0
     periods = 16
     n = round(fs / 500.0) * periods
-    pm = render_pm2(PMParams(500.0, [500.0, 500.0], [3.0, 2.0], fs), n)
+    pm = render_pm_chain([(3.0, 500.0), (2.0, 500.0), (1.0, 500.0)], n, fs)
     lines = measure_spectrum(AnalysisFrame(pm, fs, 500.0)).mags[::periods]
-    pred = predict_second_order(500.0, 500.0, 500.0, 3.0, 2.0)
+    pred = predict_stack([(3.0, 500.0), (2.0, 500.0), (1.0, 500.0)])
     floor = max(np.abs(pred.amps).max(), lines.max()) * 1e-3
     worst = 0.0
     for k, measured in enumerate(lines):
@@ -72,12 +72,11 @@ def test_criterion_3_second_order_predictor_vs_oracle():
     assert worst < 1.0
 
     policy = TruncationPolicy.for_index(0.0)
-    degen = predict_second_order(700.0, 123.0, 500.0, 0.0, 2.0, policy)
-    first = predict_first_order(700.0, 500.0, 2.0, max_sideband=10,
-                                amplitude_floor=policy.amplitude_floor)
+    degen = predict_stack([(0.0, 123.0), (2.0, 500.0), (1.0, 700.0)], policy)
+    first = predict_stack([(2.0, 500.0), (1.0, 700.0)], TruncationPolicy(10, policy.amplitude_floor))
     assert np.array_equal(degen.freqs, first.freqs)
     assert np.array_equal(degen.amps, first.amps)
-    single = predict_second_order(500.0, 123.0, 456.0, 3.0, 0.0)
+    single = predict_stack([(3.0, 123.0), (0.0, 456.0), (1.0, 500.0)])
     assert list(single.freqs) == [500.0] and list(single.amps) == [1.0]
     print(f"ACCEPTANCE 3 PASS - truncated second-order prediction matches the PM "
           f"oracle DFT (worst {worst:.3f} dB <= 1 dB); degenerate cases exact")

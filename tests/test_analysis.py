@@ -12,7 +12,7 @@ from fmstack.analysis import (
     measure_spectrum,
 )
 from fmstack.operators import render_feedback_fm, render_naive_stack, render_stack
-from fmstack.pm import PMParams, render_feedback_pm, render_pm1
+from fmstack.pm import render_feedback_pm, render_pm_chain
 from oracles import bessel_series, carrier_drift_loop, naive_dft_mags
 
 FS = 48000.0
@@ -39,7 +39,7 @@ def test_silence_measures_zero():
 
 
 def test_pm1_line_matches_bessel():
-    out = render_pm1(PMParams(2000.0, [500.0], [2.0], FS), 96 * 16)
+    out = render_pm_chain([(2.0, 500.0), (1.0, 2000.0)], 96 * 16, FS)
     spec = measure_spectrum(AnalysisFrame(out, FS, 500.0))
     k = round(2500.0 / spec.freqs[1])
     assert abs(spec.mags[k] - abs(bessel_series(1, 2.0))) < 1e-3
@@ -123,8 +123,9 @@ def test_drift_naive_stack_is_far_off_grid():
 
 def test_drift_rejects_bad_grid():
     spec = measure_spectrum(AnalysisFrame(_tone(500.0, 96 * 16), FS, 500.0))
-    with pytest.raises(ValueError):
-        detect_carrier_drift(spec, 0.0, 1.0)
+    for grid in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            detect_carrier_drift(spec, grid, 1.0)
 
 
 def test_measure_dc():

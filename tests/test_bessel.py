@@ -80,6 +80,11 @@ def test_row_rejects_bad_input():
         bessel_row(-1, 2.0)
     with pytest.raises(ValueError):
         bessel_row(4, -1.0)
+    for z in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="z must be finite"):
+            bessel_row(4, z)
+        with pytest.raises(ValueError, match="z must be finite"):
+            bessel_j(3, z)
 
 
 def test_row_at_tiny_argument_is_the_leading_term():

@@ -10,7 +10,7 @@ from fmstack.analysis import AnalysisFrame, MeasuredSpectrum, measure_spectrum
 from fmstack import csv_format
 from fmstack.csv_format import CHUNK
 from fmstack.io_formats import _CSV_VECTOR_MIN_ROWS, WavSpec, write_spectrum_csv, write_wav
-from fmstack.spectrum import LineSpectrum, predict_second_order
+from fmstack.spectrum import LineSpectrum, predict_stack
 from oracles import write_spectrum_csv_rows, write_wav_clip_copy
 
 
@@ -92,7 +92,7 @@ def test_csv_empty_spectrum(tmp_path):
 
 
 def test_csv_row_count_matches_prediction(tmp_path):
-    pred = predict_second_order(500.0, 500.0, 500.0, 3.0, 2.0)
+    pred = predict_stack([(3.0, 500.0), (2.0, 500.0), (1.0, 500.0)])
     path = tmp_path / "fig3.csv"
     write_spectrum_csv(path, pred)
     rows = path.read_text().strip().split("\n")

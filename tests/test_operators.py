@@ -13,7 +13,7 @@ from fmstack.operators import (
     render_naive_stack,
     render_stack,
 )
-from fmstack.pm import PMParams, render_pm2
+from fmstack.pm import render_pm_chain
 from fmstack.wavetable import PHASE_MODULUS
 from oracles import (
     bessel_series,
@@ -128,7 +128,7 @@ def test_second_order_equivalence_to_pm():
     periods = 16
     n = round(fs / 500.0) * periods
     fm_lines = measure_spectrum(AnalysisFrame(render_stack(FIG3, n, fs).audio, fs, 500.0), "hann").mags[::periods]
-    pm = render_pm2(PMParams(500.0, [500.0, 500.0], [3.0, 2.0], fs), n)
+    pm = render_pm_chain([(3.0, 500.0), (2.0, 500.0), (1.0, 500.0)], n, fs)
     pm_lines = measure_spectrum(AnalysisFrame(pm, fs, 500.0), "hann").mags[::periods]
     floor = max(fm_lines.max(), pm_lines.max()) * 1e-3
     checked = 0
@@ -144,16 +144,46 @@ def test_stack_alias_rejected():
         render_stack([(1.0, 50000.0)], 64, FS)
 
 
-@pytest.mark.parametrize("params", [[(1.0, np.nan)], [(np.nan, 300.0), (1.0, 440.0)], [(np.inf, 300.0), (1.0, 440.0)]])
+@pytest.mark.parametrize("params", [
+    [(1.0, np.nan)],
+    [(np.nan, 300.0), (1.0, 440.0)],
+    [(np.inf, 300.0), (1.0, 440.0)],
+    [(1.0, 500.0), (np.nan, 500.0)],
+])
 def test_stack_non_finite_frequency_rejected(params):
-    with pytest.raises(ValueError):
-        render_stack(params, 64, FS)
+    for render in (render_stack, render_naive_stack):
+        with pytest.raises(ValueError, match="finite"):
+            render(params, 64, FS)
+
+
+@pytest.mark.parametrize("sr", [0.0, -48000.0, np.nan])
+def test_stack_rejects_bad_sample_rate(sr):
+    for render in (render_stack, render_naive_stack):
+        with pytest.raises(ValueError):
+            render([(1.0, 500.0), (1.0, 500.0)], 4, sr)
 
 
 def test_feedback_fm_silence():
     blk = render_feedback_fm(0.0, 500.0, 1.0, 256, FS)
     assert np.all(blk.audio == 0.0)
     assert np.all(blk.modulation == 0.0)
+
+
+@pytest.mark.parametrize("amp,freq,gain,sr", [
+    (np.nan, 500.0, 1.0, FS),
+    (np.inf, 500.0, 1.0, FS),
+    (1.0, np.nan, 1.0, FS),
+    (1.0, -np.inf, 1.0, FS),
+    (1.0, 500.0, np.nan, FS),
+    (1.0, 500.0, np.inf, FS),
+    (1.0, 500.0, 1.0, np.nan),
+    (1.0, 500.0, 1.0, np.inf),
+    (1.0, 500.0, 1.0, 0.0),
+    (1.0, 500.0, 1.0, -48000.0),
+])
+def test_feedback_fm_rejects_bad_arguments(amp, freq, gain, sr):
+    with pytest.raises(ValueError):
+        render_feedback_fm(amp, freq, gain, 64, sr)
 
 
 def test_feedback_fm_divergence_guard():

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fmstack.analysis import AnalysisFrame, detect_carrier_drift, measure_spectrum
-from fmstack.pm import PMParams, render_feedback_pm, render_pm1, render_pm2, render_pm_chain
+from fmstack.pm import render_feedback_pm, render_pm_chain
 from oracles import bessel_series, feedback_pm_loop, pm1_expression, pm2_expression, pm_chain
 
 FS = 48000.0
@@ -16,46 +16,44 @@ def _frame(x, fundamental=500.0, fs=FS):
 
 def test_pm1_zero_index_is_pure_cosine():
     n = 96 * 16
-    out = render_pm1(PMParams(2000.0, [500.0], [0.0], FS), n)
+    out = render_pm_chain([(0.0, 500.0), (1.0, 2000.0)], n, FS)
     t = np.arange(n) / FS
     assert np.array_equal(out, np.cos(2.0 * np.pi * 2000.0 * t))
 
 
 def test_pm1_sideband_magnitudes():
     n = 96 * 16
-    out = render_pm1(PMParams(2000.0, [500.0], [2.0], FS), n)
+    out = render_pm_chain([(2.0, 500.0), (1.0, 2000.0)], n, FS)
     spec = measure_spectrum(_frame(out))
     lines = spec.mags[::16]  # harmonics of 500 Hz
     assert abs(lines[4] - abs(bessel_series(0, 2.0))) < 1e-3  # 2000 Hz
     assert abs(lines[5] - abs(bessel_series(1, 2.0))) < 1e-3  # 2500 Hz
 
 
-def test_pm1_needs_one_order():
-    with pytest.raises(ValueError):
-        render_pm1(PMParams(500.0, [500.0, 100.0], [1.0, 1.0], FS), 10)
-
-
 def test_pm2_outer_index_zero_is_pure_cosine():
     n = 96 * 16
-    out = render_pm2(PMParams(500.0, [500.0, 500.0], [3.0, 0.0], FS), n)
+    out = render_pm_chain([(3.0, 500.0), (0.0, 500.0), (1.0, 500.0)], n, FS)
     t = np.arange(n) / FS
     assert np.array_equal(out, np.cos(2.0 * np.pi * 500.0 * t))
 
 
 def test_pm2_degenerates_to_pm1_exactly():
     n = 96 * 16
-    two = render_pm2(PMParams(700.0, [123.0, 500.0], [0.0, 2.0], FS), n)
-    one = render_pm1(PMParams(700.0, [500.0], [2.0], FS), n)
+    two = render_pm_chain([(0.0, 123.0), (2.0, 500.0), (1.0, 700.0)], n, FS)
+    one = render_pm_chain([(2.0, 500.0), (1.0, 700.0)], n, FS)
     assert np.array_equal(two, one)
 
 
 def test_pm_params_validation():
-    with pytest.raises(ValueError):
-        PMParams(500.0, [500.0], [-1.0], FS)
-    with pytest.raises(ValueError):
-        PMParams(500.0, [500.0], [1.0, 2.0], FS)
-    with pytest.raises(ValueError):
-        PMParams(500.0, [500.0], [1.0], 0.0)
+    with pytest.raises(ValueError, match=">= 0"):
+        render_pm_chain([(-1.0, 500.0), (1.0, 500.0)], 64, FS)
+    for fs in (0.0, -48000.0):
+        with pytest.raises(ValueError, match="positive"):
+            render_pm_chain([(1.0, 500.0), (1.0, 500.0)], 64, fs)
+    with pytest.raises(ValueError, match="at least one operator"):
+        render_pm_chain([], 64, FS)
+    with pytest.raises(ValueError, match="sample count"):
+        render_pm_chain([(1.0, 500.0), (1.0, 500.0)], -1, FS)
 
 
 @pytest.mark.parametrize("fc,fm,z,fs", [
@@ -67,13 +65,13 @@ def test_pm_params_validation():
 ])
 def test_pm_params_reject_non_finite(fc, fm, z, fs):
     with pytest.raises(ValueError, match="finite"):
-        PMParams(fc, fm, z, fs)
+        render_pm_chain([*zip(z, fm), (1.0, fc)], 64, fs)
 
 
 @pytest.mark.parametrize("z0,z1", [(3.0, 2.0), (2.0, 1.0), (1.0, 3.0)])
 def test_pm_has_no_drift(z0, z1):
     n = 96 * 64
-    out = render_pm2(PMParams(500.0, [500.0, 500.0], [z0, z1], FS), n)
+    out = render_pm_chain([(z0, 500.0), (z1, 500.0), (1.0, 500.0)], n, FS)
     spec = measure_spectrum(_frame(out), "hann")
     max_offset, offenders = detect_carrier_drift(spec, 500.0, 1.0)
     assert max_offset < 1.0
@@ -81,13 +79,13 @@ def test_pm_has_no_drift(z0, z1):
 
 
 def test_pm1_matches_folded_prediction():
-    from fmstack.spectrum import predict_first_order
+    from fmstack.spectrum import TruncationPolicy, predict_stack
 
     n = 96 * 16
     for z in [0.5, 1.0, 2.0, 3.0, 5.0]:
-        out = render_pm1(PMParams(2000.0, [500.0], [z], FS), n)
+        out = render_pm_chain([(z, 500.0), (1.0, 2000.0)], n, FS)
         lines = measure_spectrum(_frame(out)).mags[::16]
-        predicted = predict_first_order(2000.0, 500.0, z, max_sideband=int(z) + 12)
+        predicted = predict_stack([(z, 500.0), (1.0, 2000.0)], TruncationPolicy(int(z) + 12, 0.0))
         for k, measured in enumerate(lines):
             expect = abs(predicted.amplitude_at(k * 500.0))
             if max(measured, expect) > 1e-6:
@@ -97,10 +95,10 @@ def test_pm1_matches_folded_prediction():
 def test_dc_offset_is_a_phase_shift():
     # fc >> z*fm so no negative-frequency fold interferes with the magnitudes
     n = 96 * 16
-    params = PMParams(8000.0, [500.0], [2.0], FS)
-    base = measure_spectrum(_frame(render_pm1(params, n))).mags
+    params = [(2.0, 500.0), (1.0, 8000.0)]
+    base = measure_spectrum(_frame(render_pm_chain(params, n, FS))).mags
     for c in [0.3, 1.0, np.pi / 2]:
-        shifted = measure_spectrum(_frame(render_pm1(params, n, phase_offset=c))).mags
+        shifted = measure_spectrum(_frame(pm1_expression(params, n, FS, phase_offset=c))).mags
         assert np.abs(shifted - base).max() < 1e-9
 
 
@@ -125,24 +123,24 @@ _indices = st.floats(0.0, 50.0)
 _rates = st.sampled_from([8000.0, 44100.0, 48000.0, 96000.0, 12345.678])
 
 
-@given(fc=_freqs, fm=_freqs, z=_indices, sr=_rates, n=st.integers(0, 2000), offset=st.floats(-10.0, 10.0))
-def test_pm1_matches_expression_oracle_bitwise(fc, fm, z, sr, n, offset):
-    params = PMParams(fc, [fm], [z], sr)
-    assert render_pm1(params, n, offset).tobytes() == pm1_expression(params, n, offset).tobytes()
+@given(amp=st.floats(-4.0, 4.0), fc=_freqs, fm=_freqs, z=_indices, sr=_rates, n=st.integers(0, 2000))
+def test_pm1_matches_expression_oracle_bitwise(amp, fc, fm, z, sr, n):
+    params = [(z, fm), (amp, fc)]
+    assert render_pm_chain(params, n, sr).tobytes() == pm1_expression(params, n, sr).tobytes()
 
 
 @given(fc=_freqs, fm=st.lists(_freqs, min_size=2, max_size=2), z=st.lists(_indices, min_size=2, max_size=2),
        sr=_rates, n=st.integers(0, 2000))
 def test_pm2_matches_expression_oracle_bitwise(fc, fm, z, sr, n):
-    params = PMParams(fc, fm, z, sr)
-    assert render_pm2(params, n).tobytes() == pm2_expression(params, n).tobytes()
+    params = [*zip(z, fm), (1.0, fc)]
+    assert render_pm_chain(params, n, sr).tobytes() == pm2_expression(params, n, sr).tobytes()
 
 
 @given(amp=st.floats(-4.0, 4.0), fc=_freqs, mods=st.lists(st.tuples(_indices, _freqs), max_size=8), sr=_rates,
        n=st.integers(0, 2000))
 def test_pm_chain_matches_oracle_bitwise(amp, fc, mods, sr, n):
-    params = PMParams(fc, [f for _, f in mods], [z for z, _ in mods], sr)
-    assert (render_pm_chain(params, n) * amp).tobytes() == pm_chain([*mods, (amp, fc)], n, sr).tobytes()
+    params = [*mods, (amp, fc)]
+    assert render_pm_chain(params, n, sr).tobytes() == pm_chain(params, n, sr).tobytes()
 
 
 @settings(max_examples=40, deadline=None)

@@ -82,6 +82,11 @@ def test_readme_layout_names_exist(module, names):
     assert [name for name in names if not hasattr(mod, name)] == []
 
 
+def test_readme_layout_names_every_export():
+    listed = {name for _, names in LAYOUT for name in names}
+    assert [name for name in fmstack.__all__ if name not in listed] == []
+
+
 def test_readme_names_every_topology():
     paragraph = re.search(r"^Topologies:.*?(?=\n\n)", README.read_text(), re.S | re.M).group(0)
     assert set(re.findall(r"`([a-z][a-z0-9-]*)`", paragraph)) == set(TOPOLOGIES)

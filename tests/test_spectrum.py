@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 import oracles
 from fmstack import spectrum
 from fmstack.analysis import AnalysisFrame, measure_spectrum
-from fmstack.pm import PMParams, render_pm1, render_pm2
+from fmstack.pm import render_pm_chain
 from fmstack.spectrum import (
     BudgetExceededError,
     LineSpectrum,
     TruncationPolicy,
     merge_and_fold,
-    predict_first_order,
-    predict_second_order,
     predict_stack,
 )
 from oracles import bessel_series, pm_chain
@@ -55,13 +53,13 @@ def test_line_spectrum_validation():
 
 
 def test_first_order_zero_index():
-    spec = predict_first_order(2000.0, 500.0, 0.0)
+    spec = predict_stack([(0.0, 500.0), (1.0, 2000.0)])
     assert list(spec.freqs) == [2000.0]
     assert list(spec.amps) == [1.0]
 
 
 def test_first_order_line_values():
-    spec = predict_first_order(2000.0, 500.0, 2.0)
+    spec = predict_stack([(2.0, 500.0), (1.0, 2000.0)])
     # sidebands J_n(2) at 2000 + n*500, negative frequencies folded
     assert abs(spec.amplitude_at(2000.0) - 0.2239) < 1e-3
     assert abs(spec.amplitude_at(1000.0) - 0.3528) < 2e-3
@@ -72,30 +70,30 @@ def test_first_order_line_values():
 
 
 def test_first_order_dc_fold_matches_rendered_dc():
-    spec = predict_first_order(500.0, 500.0, 2.0)
+    spec = predict_stack([(2.0, 500.0), (1.0, 500.0)])
     assert abs(spec.amplitude_at(0.0) - bessel_series(-1, 2.0)) < 1e-12
     fs = 48000.0
-    out = render_pm1(PMParams(500.0, [500.0], [2.0], fs), 96 * 16)
+    out = render_pm_chain([(2.0, 500.0), (1.0, 500.0)], 96 * 16, fs)
     assert abs(spec.amplitude_at(0.0) - out.mean()) < 1e-3
 
 
 def test_first_order_rejects_bad_modulator():
     with pytest.raises(ValueError):
-        predict_first_order(2000.0, 0.0, 1.0)
+        predict_stack([(1.0, 0.0), (1.0, 2000.0)])
     with pytest.raises(ValueError):
-        predict_first_order(2000.0, -500.0, 1.0)
+        predict_stack([(1.0, -500.0), (1.0, 2000.0)])
 
 
 def test_second_order_outer_zero_is_single_line():
-    spec = predict_second_order(500.0, 123.0, 456.0, 3.0, 0.0)
+    spec = predict_stack([(3.0, 123.0), (0.0, 456.0), (1.0, 500.0)])
     assert list(spec.freqs) == [500.0]
     assert list(spec.amps) == [1.0]
 
 
 def test_second_order_degenerates_exactly():
     policy = TruncationPolicy.for_index(0.0)
-    two = predict_second_order(700.0, 123.0, 500.0, 0.0, 2.0, policy)
-    one = predict_first_order(700.0, 500.0, 2.0, max_sideband=10, amplitude_floor=policy.amplitude_floor)
+    two = predict_stack([(0.0, 123.0), (2.0, 500.0), (1.0, 700.0)], policy)
+    one = predict_stack([(2.0, 500.0), (1.0, 700.0)], TruncationPolicy(10, policy.amplitude_floor))
     assert np.array_equal(two.freqs, one.freqs)
     assert np.array_equal(two.amps, one.amps)
 
@@ -105,9 +103,9 @@ def test_second_order_matches_pm_oracle():
     fs = 96000.0
     periods = 16
     n = round(fs / 500.0) * periods
-    pm = render_pm2(PMParams(500.0, [500.0, 500.0], [3.0, 2.0], fs), n)
+    pm = render_pm_chain([(3.0, 500.0), (2.0, 500.0), (1.0, 500.0)], n, fs)
     lines = measure_spectrum(AnalysisFrame(pm, fs, 500.0)).mags[::periods]
-    pred = predict_second_order(500.0, 500.0, 500.0, 3.0, 2.0)
+    pred = predict_stack([(3.0, 500.0), (2.0, 500.0), (1.0, 500.0)])
     floor = max(np.abs(pred.amps).max(), lines.max()) * 1e-3
     checked = 0
     for k, measured in enumerate(lines):
@@ -123,19 +121,19 @@ def test_predicted_power_matches_rendered_power_with_folds():
     # fc=fm so folds interfere; the prediction must match the real signal power
     fs = 96000.0
     n = round(fs / 500.0) * 16
-    pm = render_pm2(PMParams(500.0, [500.0, 500.0], [3.0, 2.0], fs), n)
-    pred = predict_second_order(500.0, 500.0, 500.0, 3.0, 2.0)
+    pm = render_pm_chain([(3.0, 500.0), (2.0, 500.0), (1.0, 500.0)], n, fs)
+    pred = predict_stack([(3.0, 500.0), (2.0, 500.0), (1.0, 500.0)])
     assert abs(pred.total_power() - np.mean(pm**2)) < 1e-4
     assert pred.total_power() < 1.0 + 1e-6
 
 
 def test_power_conservation_without_folds():
     for z in [0.5, 1.0, 2.0, 3.0]:
-        power = predict_first_order(10000.0, 400.0, z).total_power()
+        power = predict_stack([(z, 400.0), (1.0, 10000.0)]).total_power()
         assert power < 0.5 + 1e-6
         assert abs(power - 0.5) < 1e-4
     for z0, z1 in [(1.0, 1.0), (2.0, 2.0), (3.0, 2.0), (3.0, 3.0)]:
-        power = predict_second_order(20000.0, 100.0, 400.0, z0, z1).total_power()
+        power = predict_stack([(z0, 100.0), (z1, 400.0), (1.0, 20000.0)]).total_power()
         assert power < 0.5 + 1e-6
         assert abs(power - 0.5) < 1e-4
 
@@ -153,34 +151,32 @@ def test_truncation_policy():
 
 def test_expansion_budget_guard():
     with pytest.raises(BudgetExceededError):
-        predict_second_order(
-            500.0, np.sqrt(2.0) * 100.0, np.pi * 100.0, 1.0, 1e5, TruncationPolicy(2, 0.0)
-        )
+        predict_stack([(1.0, np.sqrt(2.0) * 100.0), (1e5, np.pi * 100.0), (1.0, 500.0)], TruncationPolicy(2, 0.0))
 
 
 def test_second_order_rejects_bad_input():
     with pytest.raises(ValueError):
-        predict_second_order(500.0, 0.0, 500.0, 1.0, 1.0)
+        predict_stack([(1.0, 0.0), (1.0, 500.0), (1.0, 500.0)])
     with pytest.raises(ValueError):
-        predict_second_order(500.0, 500.0, 500.0, -1.0, 1.0)
+        predict_stack([(-1.0, 500.0), (1.0, 500.0), (1.0, 500.0)])
 
 
 def test_scaled_spectrum():
-    spec = predict_first_order(2000.0, 500.0, 1.0).scaled(0.25)
+    spec = predict_stack([(1.0, 500.0), (1.0, 2000.0)]).scaled(0.25)
     expected = 0.25 * (bessel_series(0, 1.0) + bessel_series(-8, 1.0))  # n=-8 folds onto 2000
     assert abs(spec.amplitude_at(2000.0) - expected) < 1e-12
 
 
 def test_first_order_tiny_index_is_the_carrier():
-    spec = predict_first_order(500.0, 500.0, 1e-200)
+    spec = predict_stack([(1e-200, 500.0), (1.0, 500.0)])
     assert list(spec.freqs) == [500.0]
     assert list(spec.amps) == [1.0]
 
 
 def test_second_order_tiny_inner_index_matches_first_order():
     # one inner sideband's effective index z1*J_k(1e-6) reaches ~1e-62
-    second = predict_second_order(500.0, 500.0, 500.0, 1e-6, 2.0)
-    first = predict_first_order(500.0, 500.0, 2.0)
+    second = predict_stack([(1e-6, 500.0), (2.0, 500.0), (1.0, 500.0)])
+    first = predict_stack([(2.0, 500.0), (1.0, 500.0)])
     strong = first.freqs[np.abs(first.amps) > 1e-4]
     assert len(strong) > 5
     for f in strong:
@@ -216,12 +212,10 @@ def test_predict_stack_reproduces_the_first_and_second_order_predictors(depth, i
         (z, fm), (_, fc) = params
         limits = () if policy is None else (policy.sidebands, policy.amplitude_floor)
         old = oracles.predict_first_order(fc, fm, z, *limits)
-        _assert_same_lines(predict_first_order(fc, fm, z, *limits), old)
         _assert_same_lines(stack, old.scaled(amp))
     else:
         (z0, fm0), (z1, fm1), (_, fc) = params
         old = oracles.predict_second_order(fc, fm0, fm1, z0, z1, policy)
-        _assert_same_lines(predict_second_order(fc, fm0, fm1, z0, z1, policy), old)
         _assert_same_lines(stack, old.scaled(amp))
 
 
@@ -308,7 +302,7 @@ def test_predict_stack_rejects_non_finite_parameters(params):
 @pytest.mark.parametrize("z", [math.nan, math.inf])
 def test_first_order_rejects_a_non_finite_index(z):
     with pytest.raises(ValueError, match="finite"):
-        predict_first_order(500.0, 100.0, z)
+        predict_stack([(z, 100.0), (1.0, 500.0)])
 
 
 def test_truncation_policy_rejects_a_nan_floor():
