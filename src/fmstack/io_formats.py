@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import MeasuredSpectrum
+from .operators import DEFAULT_BLOCK_SIZE
 from .spectrum import LineSpectrum
 
 log = logging.getLogger(__name__)
@@ -39,27 +40,33 @@ def write_wav(path, samples, spec: WavSpec) -> None:
     Values outside [-1, 1] are clipped (count goes to the log); NaN or
     infinite samples raise ValueError before the file is opened. The 16-bit
     path rounds to nearest with +1.0 stored as 32767; the float path is
-    lossless.
+    lossless. Samples are encoded a block at a time into the file's data
+    buffer; the caller's array is left unchanged.
     """
     samples = np.asarray(samples, dtype=np.float64)
     if 36 + len(samples) * (spec.bit_depth // 8) > 0xFFFFFFFF:
         raise ValueError(f"{len(samples)} samples overflow the 4 GiB size field of a RIFF file")
-    # min and max are NaN if any sample is, so one check covers the common
-    # in-range case; only a signal that fails it is scanned again
-    if len(samples) and not (-1.0 <= samples.min() and samples.max() <= 1.0):
-        bad = int(np.count_nonzero(~np.isfinite(samples)))
-        if bad:
-            raise ValueError(f"write_wav: {bad} of {len(samples)} samples are NaN or infinite")
-        clipped = int(np.count_nonzero((samples < -1.0) | (samples > 1.0)))
+    data = np.empty(len(samples), dtype="<i2" if spec.bit_depth == 16 else "<f4")
+    bad = clipped = 0
+    for start in range(0, len(samples), DEFAULT_BLOCK_SIZE):
+        block = samples[start : start + DEFAULT_BLOCK_SIZE]
+        # min and max are NaN if any sample is, so one check covers the
+        # common in-range block; only a block that fails it is scanned again
+        if not (-1.0 <= block.min() and block.max() <= 1.0):
+            bad += int(np.count_nonzero(~np.isfinite(block)))
+            clipped += int(np.count_nonzero((block < -1.0) | (block > 1.0)))
+            block = np.clip(block, -1.0, 1.0)
+        if bad:  # the write fails; the rest is only counted
+            continue
+        if spec.bit_depth == 16:
+            block = block * 32767.0
+            np.rint(block, out=block)
+        data[start : start + len(block)] = block
+    if bad:
+        raise ValueError(f"write_wav: {bad} of {len(samples)} samples are NaN or infinite")
+    if clipped:
         log.warning("write_wav: clipped %d of %d samples to [-1, 1]", clipped, len(samples))
-        samples = np.clip(samples, -1.0, 1.0)
-    if spec.bit_depth == 16:
-        fmt_tag = 1
-        scaled = samples * 32767.0
-        data = np.rint(scaled, out=scaled).astype("<i2")
-    else:
-        fmt_tag = 3
-        data = samples.astype("<f4")
+    fmt_tag = 1 if spec.bit_depth == 16 else 3
     bytes_per_sample = spec.bit_depth // 8
     byte_rate = spec.sample_rate * bytes_per_sample
     header = b"RIFF" + struct.pack("<I", 36 + data.nbytes) + b"WAVE"

@@ -15,9 +15,10 @@ import numpy as np
 
 from .wavetable import COSINE_TABLE, DIFF_TABLE, FRAC_SCALE, PHASE_MODULUS, PhaseAccumulator
 
-# Chunk length of stack renders. Output is bit-identical at any size; 8192
-# was the fastest size measured (64 to whole-buffer), and chunking bounds the
-# temporaries of long renders.
+# Block length of every render and of the WAV encoder: each fills one
+# preallocated output a block at a time, so its temporaries are a few blocks
+# long at any duration. Output is bit-identical at any size; 8192 was the
+# fastest stack block size measured (64 to whole-buffer).
 DEFAULT_BLOCK_SIZE = 8192
 
 class InstabilityError(RuntimeError):
@@ -101,6 +102,8 @@ def _render(params, n_samples, sample_rate, block_size, naive) -> Block:
         raise ValueError("sample rate must be positive")
     if block_size < 1:
         raise ValueError("block size must be >= 1")
+    if n_samples < 0:
+        raise ValueError("sample count must be >= 0")
     ops = [Operator(sample_rate) for _ in params]
     audio_out = np.empty(n_samples)
     mod_out = np.empty(n_samples)
@@ -126,7 +129,8 @@ def render_stack(
 
     params lists (amp_or_index, freq_hz) pairs top to bottom: every entry but
     the last acts as a modulation index, the last is the output amplitude.
-    Non-finite values and a non-positive sample rate raise ValueError.
+    Non-finite values, a non-positive sample rate and a negative sample count
+    raise ValueError.
     """
     return _render(params, n_samples, sample_rate, block_size, naive=False)
 
@@ -154,12 +158,15 @@ def render_feedback_fm(
     feedback_gain scales the fed-back signal independently of the output
     level. Raises InstabilityError when the loop diverges (|modulation| past
     10x the sample rate, or the instantaneous frequency aliasing).
-    Non-finite arguments and a non-positive sample rate raise ValueError.
+    Non-finite arguments, a non-positive sample rate and a negative sample
+    count raise ValueError.
     """
     if not all(math.isfinite(v) for v in (amp, freq_hz, feedback_gain, sample_rate)):
         raise ValueError("amp, frequency, feedback gain and sample rate must be finite")
     if sample_rate <= 0:
         raise ValueError("sample rate must be positive")
+    if n_samples < 0:
+        raise ValueError("sample count must be >= 0")
     # Operator.tick inlined: the loop is serial, so per-sample call and numpy
     # scalar overhead is the whole cost. Same arithmetic, same guards. The
     # phase register is a float holding an integer in [0, 2**32): every sum
@@ -170,8 +177,8 @@ def render_feedback_fm(
     frac_scale, freq_scale = FRAC_SCALE, PHASE_MODULUS / sample_rate
     modulus = float(PHASE_MODULUS)
     sr = float(sample_rate)
-    audio = array("d", bytes(8 * n_samples))
-    modulation = array("d", bytes(8 * n_samples))
+    audio = array("d", [0.0]) * n_samples
+    modulation = array("d", [0.0]) * n_samples
     limit = 10.0 * sample_rate
     neg_sr, neg_limit = -sr, -limit
     trunc = math.trunc  # int() of a float costs about four times as much

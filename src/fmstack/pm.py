@@ -6,12 +6,24 @@ checking the table-based FM engine.
 """
 
 import math
-from array import array
 
 import numpy as np
 
-# samples per vectorized carrier-phase chunk in render_feedback_pm
-_FEEDBACK_CHUNK = 8192
+from .operators import DEFAULT_BLOCK_SIZE
+
+
+def _sample_times(out: np.ndarray, sample_rate: float):
+    """Yield (start, block) over out a block at a time, each block filled
+    with the sample times n/fs of its samples.
+
+    arange(start, stop) holds the same integers as a slice of
+    arange(len(out)), so every time has the bits of the whole-buffer form.
+    """
+    for start in range(0, len(out), DEFAULT_BLOCK_SIZE):
+        t = out[start : start + DEFAULT_BLOCK_SIZE]
+        t[:] = np.arange(start, start + len(t))
+        t /= sample_rate
+        yield start, t
 
 
 def render_pm_chain(params: list[tuple[float, float]], n_samples: int, sample_rate: float) -> np.ndarray:
@@ -34,19 +46,20 @@ def render_pm_chain(params: list[tuple[float, float]], n_samples: int, sample_ra
         raise ValueError("sample rate must be positive")
     if n_samples < 0:
         raise ValueError("sample count must be >= 0")
-    t = np.arange(n_samples) / sample_rate
-    mod = None
-    for z, f in mods:  # each level in place
-        x = (2.0 * np.pi * f) * t
+    out = np.empty(n_samples)
+    for _, t in _sample_times(out, sample_rate):
+        mod = None
+        for z, f in mods:  # each level in place
+            x = (2.0 * np.pi * f) * t
+            if mod is not None:
+                x += mod
+            mod = np.sin(x, out=x)
+            mod *= z
+        t *= 2.0 * np.pi * fc
         if mod is not None:
-            x += mod
-        mod = np.sin(x, out=x)
-        mod *= z
-    t *= 2.0 * np.pi * fc
-    if mod is not None:
-        t += mod
-    out = np.cos(t, out=t)
-    out *= amp
+            t += mod
+        np.cos(t, out=t)
+        t *= amp
     return out
 
 
@@ -59,7 +72,8 @@ def render_feedback_pm(
 ) -> np.ndarray:
     """Feedback PM with a one-sample delay: out[n] = amp*cos(w*n/fs + g*out[n-1]).
 
-    Non-finite arguments and a non-positive sample rate raise ValueError.
+    Non-finite arguments, a non-positive sample rate and a negative sample
+    count raise ValueError.
     """
     if not all(math.isfinite(v) for v in (amp, freq_hz, feedback_gain, sample_rate)):
         raise ValueError("amp, frequency, feedback gain and sample rate must be finite")
@@ -69,14 +83,15 @@ def render_feedback_pm(
         raise ValueError("sample count must be >= 0")
     w = 2.0 * math.pi * freq_hz
     cos = math.cos
-    out = array("d")
-    append = out.append
+    out = np.empty(n_samples)
+    buf = memoryview(out)
     prev = 0.0
-    # the carrier phase w*(n/fs) is vectorized a chunk at a time; the
-    # recurrence through prev stays a scalar loop over Python floats
-    for start in range(0, n_samples, _FEEDBACK_CHUNK):
-        n = np.arange(start, min(start + _FEEDBACK_CHUNK, n_samples))
-        for wt in (w * (n / sample_rate)).tolist():
-            prev = amp * cos(wt + feedback_gain * prev)
-            append(prev)
-    return np.frombuffer(out)
+    # the carrier phase w*(n/fs) is vectorized into the output a block at a
+    # time; the recurrence through prev then overwrites it sample by sample,
+    # a scalar loop over Python floats
+    for start, wt in _sample_times(out, sample_rate):
+        wt *= w
+        for i in range(start, start + len(wt)):
+            prev = amp * cos(buf[i] + feedback_gain * prev)
+            buf[i] = prev
+    return out

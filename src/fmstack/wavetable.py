@@ -6,6 +6,8 @@ that interpolation between points i and i + 1 never wraps. The top 10 phase
 bits index it, the low FRAC_BITS form the interpolation fraction.
 """
 
+import math
+
 import numpy as np
 
 PHASE_BITS = 32
@@ -23,14 +25,19 @@ FRAC_MASK = (1 << FRAC_BITS) - 1
 FRAC_SCALE = 1.0 / (1 << FRAC_BITS)
 
 
+def _check_sample_rate(sample_rate: float) -> None:
+    if not (math.isfinite(sample_rate) and sample_rate > 0):
+        raise ValueError(f"sample rate must be finite and positive, not {sample_rate}")
+
+
 def freq_to_increment(freq_hz: float, sample_rate: float) -> int:
     """Per-sample phase increment, truncated toward zero like a C integer cast.
 
     Negative frequencies give negative increments (phase runs backward);
-    wrapping modulo 2**32 is the caller's concern.
+    wrapping modulo 2**32 is the caller's concern. A non-finite or
+    non-positive sample rate raises ValueError.
     """
-    if sample_rate <= 0:
-        raise ValueError("sample rate must be positive")
+    _check_sample_rate(sample_rate)
     if abs(freq_hz) >= sample_rate:
         raise ValueError(
             f"|{freq_hz} Hz| >= sample rate {sample_rate}: "
@@ -42,10 +49,12 @@ def freq_to_increment(freq_hz: float, sample_rate: float) -> int:
 class PhaseAccumulator:
     """Wrapping 32-bit phase register split into table index and interpolation fraction.
 
-    Overflow is the wrap; there is no saturation.
+    Overflow is the wrap; there is no saturation. A non-finite or
+    non-positive sample rate raises ValueError.
     """
 
     def __init__(self, sample_rate: float):
+        _check_sample_rate(sample_rate)
         self.freq_scale = PHASE_MODULUS / sample_rate
         self.phase = 0
 

@@ -10,6 +10,7 @@ from fmstack.analysis import AnalysisFrame, MeasuredSpectrum, measure_spectrum
 from fmstack import csv_format
 from fmstack.csv_format import CHUNK
 from fmstack.io_formats import _CSV_VECTOR_MIN_ROWS, WavSpec, write_spectrum_csv, write_wav
+from fmstack.operators import DEFAULT_BLOCK_SIZE as BLOCK
 from fmstack.spectrum import LineSpectrum, predict_stack
 from oracles import write_spectrum_csv_rows, write_wav_clip_copy
 
@@ -241,6 +242,40 @@ def test_wav_bytes_match_clip_copy_oracle(samples, bits, tmp_path):
     assert new.read_bytes() == old.read_bytes()
 
 
+@st.composite
+def _multi_block_samples(draw):
+    """Lengths on and across the encoder's block boundaries, with rounding
+    ties and out-of-range samples in the first block, the last block and
+    anywhere between."""
+    n = draw(st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1, 20000]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.uniform(-1.0, 1.0, n)
+    ties = rng.random(n) < 0.1
+    x[ties] = (rng.integers(-32767, 32767, np.count_nonzero(ties)) + 0.5) / 32767.0
+    at = [draw(st.integers(0, BLOCK - 2)), draw(st.integers((n - 1) // BLOCK * BLOCK, n - 1)),
+          *rng.integers(0, n, draw(st.integers(0, 20)))]
+    x[at] = rng.choice([1.5, -2.0, 1e300, -1e300, np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0)], len(at))
+    return x
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(samples=_multi_block_samples(), bits=st.sampled_from([16, 32]))
+def test_multi_block_wav_bytes_match_clip_copy_oracle(samples, bits, tmp_path):
+    new, old = tmp_path / "new.wav", tmp_path / "old.wav"
+    write_wav(new, samples, WavSpec(48000, bits))
+    write_wav_clip_copy(old, samples, WavSpec(48000, bits))
+    assert new.read_bytes() == old.read_bytes()
+
+
+def test_clipping_logged_once_with_the_count_of_all_blocks(tmp_path, caplog):
+    samples = np.zeros(2 * BLOCK + 5)
+    samples[[1, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 4]] = [1.5, -3.0, 1e300, 2.0]
+    with caplog.at_level(logging.WARNING, logger="fmstack.io_formats"):
+        write_wav(tmp_path / "c.wav", samples, WavSpec(48000, 16))
+    assert [r.getMessage() for r in caplog.records if r.name == "fmstack.io_formats"] == [
+        f"write_wav: clipped 4 of {2 * BLOCK + 5} samples to [-1, 1]"]
+
+
 def test_wav_leaves_caller_samples_unchanged(tmp_path):
     samples = np.array([0.25, 1.5, -2.0])
     write_wav(tmp_path / "a.wav", samples, WavSpec(48000, 16))
@@ -254,3 +289,16 @@ def test_wav_rejects_non_finite_samples_without_file(bad, bits, tmp_path):
     with pytest.raises(ValueError, match="1 of 4 samples are NaN or infinite"):
         write_wav(path, np.array([0.0, 0.5, bad, 2.0]), WavSpec(48000, bits))
     assert not path.exists()
+
+
+@pytest.mark.parametrize("bits", [16, 32])
+def test_wav_counts_non_finite_samples_of_all_blocks(bits, tmp_path, caplog):
+    path = tmp_path / "bad.wav"
+    samples = np.zeros(2 * BLOCK + 5)
+    # a clipped sample before the first bad one, and bad samples in two blocks
+    samples[[2, BLOCK + 3, 2 * BLOCK + 1, 2 * BLOCK + 2]] = [2.0, np.nan, -np.inf, 1.5]
+    with caplog.at_level(logging.WARNING), pytest.raises(
+            ValueError, match=f"2 of {2 * BLOCK + 5} samples are NaN or infinite"):
+        write_wav(path, samples, WavSpec(48000, bits))
+    assert not path.exists()
+    assert "clipped" not in caplog.text

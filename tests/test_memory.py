@@ -1,0 +1,53 @@
+"""Peak memory of the renders and the WAV encoder, as tracemalloc sees it.
+
+tracemalloc counts numpy's data buffers, so the peak of a call is its
+output plus the temporaries it holds at once. Each render fills one
+preallocated output, and the encoder one data buffer, a block at a time:
+their temporaries must fit a fixed allowance of a few blocks.
+"""
+
+import logging
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from fmstack.io_formats import WavSpec, write_wav
+from fmstack.operators import DEFAULT_BLOCK_SIZE, render_feedback_fm
+from fmstack.pm import render_feedback_pm, render_pm_chain
+
+FS = 96000.0
+N = 96000  # one second, almost twelve blocks
+ALLOWANCE = 3 * 8 * DEFAULT_BLOCK_SIZE  # three blocks of float64
+
+
+def _peak_bytes(call) -> int:
+    call()  # one-time set-up, such as numpy's ufunc caches, is not the call's cost
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("render", [
+    lambda: render_pm_chain([(1.0, 300.0), (2.0, 500.0), (3.0, 200.0), (1.0, 700.0)], N, FS),
+    lambda: render_feedback_pm(1.0, 500.0, 1.0, N, FS),
+], ids=["pm_chain", "feedback_pm"])
+def test_pm_renders_hold_one_float64_output(render):
+    assert _peak_bytes(render) <= 8 * N + ALLOWANCE
+
+
+def test_feedback_fm_holds_its_audio_and_modulation_outputs():
+    assert _peak_bytes(lambda: render_feedback_fm(1.0, 500.0, 1.0, N, FS)) <= 16 * N + ALLOWANCE
+
+
+@pytest.mark.parametrize("bits", [16, 32])
+def test_wav_encoder_holds_one_data_buffer(bits, tmp_path, caplog):
+    # a third of the samples clip, in every block, so the clip path is measured too
+    samples = 1.2 * np.sin(np.arange(N) * 0.01)
+    with caplog.at_level(logging.WARNING):
+        peak = _peak_bytes(lambda: write_wav(tmp_path / "a.wav", samples, WavSpec(int(FS), bits)))
+    assert peak <= bits // 8 * N + ALLOWANCE
+    assert "clipped" in caplog.text

@@ -163,6 +163,20 @@ def test_stack_rejects_bad_sample_rate(sr):
             render([(1.0, 500.0), (1.0, 500.0)], 4, sr)
 
 
+def test_renders_reject_negative_sample_count():
+    for render in (render_stack, render_naive_stack):
+        with pytest.raises(ValueError, match="sample count must be >= 0"):
+            render([(1.0, 500.0)], -1, FS)
+    with pytest.raises(ValueError, match="sample count must be >= 0"):
+        render_feedback_fm(1.0, 500.0, 0.0, -1, FS)
+
+
+@pytest.mark.parametrize("sr", [0.0, -48000.0, np.inf, np.nan])
+def test_operator_rejects_bad_sample_rate(sr):
+    with pytest.raises(ValueError, match="sample rate must be finite and positive"):
+        Operator(sr)
+
+
 def test_feedback_fm_silence():
     blk = render_feedback_fm(0.0, 500.0, 1.0, 256, FS)
     assert np.all(blk.audio == 0.0)

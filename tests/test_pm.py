@@ -121,23 +121,28 @@ def test_feedback_pm_harmonics_decay():
 _freqs = st.floats(-20000.0, 20000.0)
 _indices = st.floats(0.0, 50.0)
 _rates = st.sampled_from([8000.0, 44100.0, 48000.0, 96000.0, 12345.678])
+# short renders, and lengths on and across the 8192-sample block boundaries
+_lengths = st.one_of(st.integers(0, 2000), st.sampled_from([8191, 8192, 8193, 16385, 20000]))
 
 
-@given(amp=st.floats(-4.0, 4.0), fc=_freqs, fm=_freqs, z=_indices, sr=_rates, n=st.integers(0, 2000))
+@settings(deadline=None)
+@given(amp=st.floats(-4.0, 4.0), fc=_freqs, fm=_freqs, z=_indices, sr=_rates, n=_lengths)
 def test_pm1_matches_expression_oracle_bitwise(amp, fc, fm, z, sr, n):
     params = [(z, fm), (amp, fc)]
     assert render_pm_chain(params, n, sr).tobytes() == pm1_expression(params, n, sr).tobytes()
 
 
+@settings(deadline=None)
 @given(fc=_freqs, fm=st.lists(_freqs, min_size=2, max_size=2), z=st.lists(_indices, min_size=2, max_size=2),
-       sr=_rates, n=st.integers(0, 2000))
+       sr=_rates, n=_lengths)
 def test_pm2_matches_expression_oracle_bitwise(fc, fm, z, sr, n):
     params = [*zip(z, fm), (1.0, fc)]
     assert render_pm_chain(params, n, sr).tobytes() == pm2_expression(params, n, sr).tobytes()
 
 
+@settings(deadline=None)
 @given(amp=st.floats(-4.0, 4.0), fc=_freqs, mods=st.lists(st.tuples(_indices, _freqs), max_size=8), sr=_rates,
-       n=st.integers(0, 2000))
+       n=_lengths)
 def test_pm_chain_matches_oracle_bitwise(amp, fc, mods, sr, n):
     params = [*mods, (amp, fc)]
     assert render_pm_chain(params, n, sr).tobytes() == pm_chain(params, n, sr).tobytes()
@@ -171,3 +176,8 @@ def test_feedback_pm_matches_scalar_loop_oracle_bitwise(amp, freq, gain, sr, n):
 def test_feedback_pm_rejects_bad_arguments(amp, freq, gain, sr):
     with pytest.raises(ValueError):
         render_feedback_pm(amp, freq, gain, 64, sr)
+
+
+def test_feedback_pm_rejects_negative_sample_count():
+    with pytest.raises(ValueError, match="sample count must be >= 0"):
+        render_feedback_pm(1.0, 500.0, 1.0, -1, FS)

@@ -48,6 +48,14 @@ def test_increment_out_of_range(freq):
         freq_to_increment(freq, 48000)
 
 
+@pytest.mark.parametrize("sr", [0.0, -48000.0, np.inf, -np.inf, np.nan])
+def test_bad_sample_rate_rejected(sr):
+    with pytest.raises(ValueError, match="sample rate must be finite and positive"):
+        freq_to_increment(500.0, sr)
+    with pytest.raises(ValueError, match="sample rate must be finite and positive"):
+        PhaseAccumulator(sr)
+
+
 def test_tick_trivial():
     acc = PhaseAccumulator(48000)
     assert acc.tick(0.0, 12345) == 0.0
