@@ -12,7 +12,6 @@ from .analysis import (
 from .bessel import bessel_j, bessel_row
 from .io_formats import WavSpec, write_spectrum_csv, write_wav
 from .operators import (
-    Block,
     InstabilityError,
     Operator,
     render_feedback_fm,
@@ -33,7 +32,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisFrame",
-    "Block",
     "BudgetExceededError",
     "COSINE_TABLE",
     "InstabilityError",

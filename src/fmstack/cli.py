@@ -131,14 +131,13 @@ class Topology:
 
 
 TOPOLOGIES = {
-    "fm-stack": Topology((1, 64), lambda p, n: render_stack(p.operators, n, p.sample_rate).audio,
-                         predict_stack),
-    "fm-stack-naive": Topology((1, 64), lambda p, n: render_naive_stack(p.operators, n, p.sample_rate).audio),
+    "fm-stack": Topology((1, 64), lambda p, n: render_stack(p.operators, n, p.sample_rate), predict_stack),
+    "fm-stack-naive": Topology((1, 64), lambda p, n: render_naive_stack(p.operators, n, p.sample_rate)),
     "pm-stack": Topology((2, 64), _render_pm, predict_stack),
     "pm1": Topology((2, 2), _render_pm, predict_stack),
     "pm2": Topology((3, 3), _render_pm, predict_stack),
     "fm-feedback": Topology((1, 1), lambda p, n: render_feedback_fm(
-        *p.operators[0], p.feedback_gain, n, p.sample_rate).audio),
+        *p.operators[0], p.feedback_gain, n, p.sample_rate)),
     "pm-feedback": Topology((1, 1), lambda p, n: render_feedback_pm(
         *p.operators[0], p.feedback_gain, n, p.sample_rate)),
 }

@@ -9,11 +9,10 @@ without the carrier drift of the naive formulation.
 
 import math
 from array import array
-from dataclasses import dataclass
 
 import numpy as np
 
-from .wavetable import COSINE_TABLE, DIFF_TABLE, FRAC_SCALE, PHASE_MODULUS, PhaseAccumulator
+from .wavetable import COSINE_TABLE, DIFF_TABLE, FRAC_SCALE, PHASE_MODULUS, PhaseAccumulator, check_render_args
 
 # Block length of every render and of the WAV encoder: each fills one
 # preallocated output a block at a time, so its temporaries are a few blocks
@@ -23,19 +22,6 @@ DEFAULT_BLOCK_SIZE = 8192
 
 class InstabilityError(RuntimeError):
     """A feedback loop diverged."""
-
-
-@dataclass
-class Block:
-    """Paired audio/modulation sample buffers at one sample rate."""
-
-    audio: np.ndarray
-    modulation: np.ndarray
-    sample_rate: float
-
-    def __post_init__(self):
-        if len(self.audio) != len(self.modulation):
-            raise ValueError("audio and modulation buffers must have equal length")
 
 
 class Operator:
@@ -71,6 +57,8 @@ class Operator:
         if fm is None:
             if n_samples is None:
                 raise ValueError("need n_samples when no modulation input is given")
+            if n_samples < 0:
+                raise ValueError("sample count must be >= 0")
             if not n_samples:  # nothing to render or check, as for an empty fm
                 return np.empty(0), np.empty(0)
             # a constant frequency: one increment, truncated as in tick()
@@ -93,57 +81,38 @@ class Operator:
         return audio, modulation
 
 
-def _render(params, n_samples, sample_rate, block_size, naive) -> Block:
+def _render(params, n_samples, sample_rate, naive) -> np.ndarray:
     if not params:
         raise ValueError("stack needs at least one operator")
-    if not all(math.isfinite(v) for v in (*(v for op in params for v in op), sample_rate)):
-        raise ValueError("operator values and sample rate must be finite")
-    if sample_rate <= 0:
-        raise ValueError("sample rate must be positive")
-    if block_size < 1:
-        raise ValueError("block size must be >= 1")
-    if n_samples < 0:
-        raise ValueError("sample count must be >= 0")
+    check_render_args([v for op in params for v in op], n_samples, sample_rate)
     ops = [Operator(sample_rate) for _ in params]
-    audio_out = np.empty(n_samples)
-    mod_out = np.empty(n_samples)
-    pos = 0
-    while pos < n_samples:
-        blk = min(block_size, n_samples - pos)
+    out = np.empty(n_samples)
+    # the bottom operator's modulation output feeds nothing and is dropped
+    for start in range(0, n_samples, DEFAULT_BLOCK_SIZE):
+        block = out[start : start + DEFAULT_BLOCK_SIZE]
         mod = None
         for (amp, freq_hz), op in zip(params, ops):
-            audio, mod = op.process(amp, freq_hz, fm=mod, n_samples=blk, naive=naive)
-        audio_out[pos : pos + blk] = audio
-        mod_out[pos : pos + blk] = mod
-        pos += blk
-    return Block(audio_out, mod_out, float(sample_rate))
+            audio, mod = op.process(amp, freq_hz, fm=mod, n_samples=len(block), naive=naive)
+        block[:] = audio
+    return out
 
 
-def render_stack(
-    params: list[tuple[float, float]],
-    n_samples: int,
-    sample_rate: float,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-) -> Block:
-    """Render a modulation stack, top operator first.
+def render_stack(params: list[tuple[float, float]], n_samples: int, sample_rate: float) -> np.ndarray:
+    """Render a modulation stack, top operator first, and return its audio.
 
     params lists (amp_or_index, freq_hz) pairs top to bottom: every entry but
     the last acts as a modulation index, the last is the output amplitude.
     Non-finite values, a non-positive sample rate and a negative sample count
     raise ValueError.
     """
-    return _render(params, n_samples, sample_rate, block_size, naive=False)
+    return _render(params, n_samples, sample_rate, naive=False)
 
 
-def render_naive_stack(
-    params: list[tuple[float, float]],
-    n_samples: int,
-    sample_rate: float,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-) -> Block:
+def render_naive_stack(params: list[tuple[float, float]], n_samples: int, sample_rate: float) -> np.ndarray:
     """Same wiring as render_stack but with the incorrect static-frequency
-    modulation outputs, kept as the carrier-drift demonstration."""
-    return _render(params, n_samples, sample_rate, block_size, naive=True)
+    modulation outputs, kept as the carrier-drift demonstration; returns the
+    audio."""
+    return _render(params, n_samples, sample_rate, naive=True)
 
 
 def render_feedback_fm(
@@ -152,8 +121,9 @@ def render_feedback_fm(
     feedback_gain: float,
     n_samples: int,
     sample_rate: float,
-) -> Block:
-    """One operator modulated by its own unit-delayed modulation output.
+) -> np.ndarray:
+    """One operator modulated by its own unit-delayed modulation output;
+    returns its audio.
 
     feedback_gain scales the fed-back signal independently of the output
     level. Raises InstabilityError when the loop diverges (|modulation| past
@@ -161,12 +131,7 @@ def render_feedback_fm(
     Non-finite arguments, a non-positive sample rate and a negative sample
     count raise ValueError.
     """
-    if not all(math.isfinite(v) for v in (amp, freq_hz, feedback_gain, sample_rate)):
-        raise ValueError("amp, frequency, feedback gain and sample rate must be finite")
-    if sample_rate <= 0:
-        raise ValueError("sample rate must be positive")
-    if n_samples < 0:
-        raise ValueError("sample count must be >= 0")
+    check_render_args((amp, freq_hz, feedback_gain), n_samples, sample_rate)
     # Operator.tick inlined: the loop is serial, so per-sample call and numpy
     # scalar overhead is the whole cost. Same arithmetic, same guards. The
     # phase register is a float holding an integer in [0, 2**32): every sum
@@ -178,7 +143,6 @@ def render_feedback_fm(
     modulus = float(PHASE_MODULUS)
     sr = float(sample_rate)
     audio = array("d", [0.0]) * n_samples
-    modulation = array("d", [0.0]) * n_samples
     limit = 10.0 * sample_rate
     neg_sr, neg_limit = -sr, -limit
     trunc = math.trunc  # int() of a float costs about four times as much
@@ -200,6 +164,5 @@ def render_feedback_fm(
                 f"feedback FM diverged at sample {n}: |modulation| {abs(m):.3g} > {limit:.3g}"
             )
         audio[n] = s
-        modulation[n] = m
         prev = m
-    return Block(np.frombuffer(audio), np.frombuffer(modulation), float(sample_rate))
+    return np.frombuffer(audio)

@@ -10,6 +10,7 @@ import math
 import numpy as np
 
 from .operators import DEFAULT_BLOCK_SIZE
+from .wavetable import check_render_args
 
 
 def _sample_times(out: np.ndarray, sample_rate: float):
@@ -37,15 +38,10 @@ def render_pm_chain(params: list[tuple[float, float]], n_samples: int, sample_ra
     """
     if not params:
         raise ValueError("stack needs at least one operator")
-    if not all(math.isfinite(v) for v in (*(v for op in params for v in op), sample_rate)):
-        raise ValueError("operator values and sample rate must be finite")
+    check_render_args([v for op in params for v in op], n_samples, sample_rate)
     *mods, (amp, fc) = params
     if any(z < 0 for z, _ in mods):
         raise ValueError("modulation indices must be >= 0")
-    if sample_rate <= 0:
-        raise ValueError("sample rate must be positive")
-    if n_samples < 0:
-        raise ValueError("sample count must be >= 0")
     out = np.empty(n_samples)
     for _, t in _sample_times(out, sample_rate):
         mod = None
@@ -75,12 +71,7 @@ def render_feedback_pm(
     Non-finite arguments, a non-positive sample rate and a negative sample
     count raise ValueError.
     """
-    if not all(math.isfinite(v) for v in (amp, freq_hz, feedback_gain, sample_rate)):
-        raise ValueError("amp, frequency, feedback gain and sample rate must be finite")
-    if sample_rate <= 0:
-        raise ValueError("sample rate must be positive")
-    if n_samples < 0:
-        raise ValueError("sample count must be >= 0")
+    check_render_args((amp, freq_hz, feedback_gain), n_samples, sample_rate)
     w = 2.0 * math.pi * freq_hz
     cos = math.cos
     out = np.empty(n_samples)

@@ -30,19 +30,28 @@ def _check_sample_rate(sample_rate: float) -> None:
         raise ValueError(f"sample rate must be finite and positive, not {sample_rate}")
 
 
+def check_render_args(values, n_samples: int, sample_rate: float) -> None:
+    """The argument checks every renderer shares: each of `values` (the
+    operator values, and a feedback gain) finite, the sample rate finite and
+    positive, the sample count >= 0. Raises ValueError otherwise."""
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError("render parameters must be finite")
+    _check_sample_rate(sample_rate)
+    if n_samples < 0:
+        raise ValueError("sample count must be >= 0")
+
+
 def freq_to_increment(freq_hz: float, sample_rate: float) -> int:
     """Per-sample phase increment, truncated toward zero like a C integer cast.
 
     Negative frequencies give negative increments (phase runs backward);
     wrapping modulo 2**32 is the caller's concern. A non-finite or
-    non-positive sample rate raises ValueError.
+    non-positive sample rate, and a frequency that is not finite or not
+    below the sample rate in magnitude, raise ValueError.
     """
     _check_sample_rate(sample_rate)
-    if abs(freq_hz) >= sample_rate:
-        raise ValueError(
-            f"|{freq_hz} Hz| >= sample rate {sample_rate}: "
-            "more than a full cycle per sample"
-        )
+    if not abs(freq_hz) < sample_rate:  # NaN fails the comparison too
+        raise ValueError(f"|frequency| must be finite and below the sample rate {sample_rate}, not {freq_hz} Hz")
     return int(freq_hz * (PHASE_MODULUS / sample_rate))
 
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from fmstack import spectrum
 from fmstack.analysis import _LOG_GUARD, _PEAK_SELECT_DB, MeasuredSpectrum
-from fmstack.operators import Block, InstabilityError, Operator
+from fmstack.operators import InstabilityError, Operator
 from fmstack.bessel import bessel_row
 from fmstack.spectrum import (
     EXPANSION_BUDGET,
@@ -66,7 +66,6 @@ def feedback_fm_ticks(amp, freq_hz, feedback_gain, n_samples, sample_rate):
     """render_feedback_fm as one Operator.tick call per sample."""
     op = Operator(sample_rate)
     audio = np.empty(n_samples)
-    modulation = np.empty(n_samples)
     limit = 10.0 * sample_rate
     prev = 0.0
     for n in range(n_samples):
@@ -79,9 +78,8 @@ def feedback_fm_ticks(amp, freq_hz, feedback_gain, n_samples, sample_rate):
                 f"feedback FM diverged at sample {n}: |modulation| {abs(m):.3g} > {limit:.3g}"
             )
         audio[n] = s
-        modulation[n] = m
         prev = m
-    return Block(audio, modulation, float(sample_rate))
+    return audio
 
 
 def write_spectrum_csv_rows(path, spec):
@@ -369,7 +367,7 @@ def feedback_fm_int_phase(
     feedback_gain: float,
     n_samples: int,
     sample_rate: float,
-) -> Block:
+) -> np.ndarray:
     """render_feedback_fm with its phase register as a Python int."""
     op = Operator(sample_rate)
     # Operator.tick inlined: the loop is serial, so per-sample call and numpy
@@ -380,7 +378,6 @@ def feedback_fm_int_phase(
     phase_mask = PHASE_MODULUS - 1
     sr = op.sample_rate
     audio = array("d", bytes(8 * n_samples))
-    modulation = array("d", bytes(8 * n_samples))
     limit = 10.0 * sample_rate
     phase = 0
     prev = 0.0
@@ -400,9 +397,8 @@ def feedback_fm_int_phase(
                 f"feedback FM diverged at sample {n}: |modulation| {abs(m):.3g} > {limit:.3g}"
             )
         audio[n] = s
-        modulation[n] = m
         prev = m
-    return Block(np.frombuffer(audio), np.frombuffer(modulation), float(sample_rate))
+    return np.frombuffer(audio)
 
 
 def feedback_pm_loop(

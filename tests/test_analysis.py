@@ -104,8 +104,8 @@ def test_drift_pure_tone_is_on_grid():
 def test_drift_corrected_stack_stays_on_grid():
     fs = 96000.0
     n = round(fs / 500.0) * 64
-    blk = render_stack(FIG3, n, fs)
-    spec = measure_spectrum(AnalysisFrame(blk.audio, fs, 500.0))
+    audio = render_stack(FIG3, n, fs)
+    spec = measure_spectrum(AnalysisFrame(audio, fs, 500.0))
     max_offset, _ = detect_carrier_drift(spec, 500.0, 1.0)
     assert max_offset < 1.0
 
@@ -113,9 +113,9 @@ def test_drift_corrected_stack_stays_on_grid():
 def test_drift_naive_stack_is_far_off_grid():
     fs = 96000.0
     n = round(fs / 500.0) * 64
-    blk = render_naive_stack(FIG3, n, fs)
+    audio = render_naive_stack(FIG3, n, fs)
     for window in ["hann", "rectangular"]:
-        spec = measure_spectrum(AnalysisFrame(blk.audio, fs, 500.0), window)
+        spec = measure_spectrum(AnalysisFrame(audio, fs, 500.0), window)
         max_offset, offenders = detect_carrier_drift(spec, 500.0, 1.0)
         assert max_offset >= 5.0
         assert offenders
@@ -132,7 +132,7 @@ def test_measure_dc():
     frame = AnalysisFrame(_tone(500.0, 96 * 16), FS, 500.0)
     assert abs(measure_dc(frame)) < 1e-9
     n = 96 * 64
-    fm_dc = measure_dc(AnalysisFrame(render_feedback_fm(1.0, 500.0, 1.0, n, FS).audio, FS, 500.0))
+    fm_dc = measure_dc(AnalysisFrame(render_feedback_fm(1.0, 500.0, 1.0, n, FS), FS, 500.0))
     pm_dc = measure_dc(AnalysisFrame(render_feedback_pm(1.0, 500.0, 1.0, n, FS), FS, 500.0))
     assert abs(fm_dc) > 0.05
     assert abs(pm_dc) < abs(fm_dc)

@@ -13,12 +13,14 @@ import numpy as np
 import pytest
 
 from fmstack.io_formats import WavSpec, write_wav
-from fmstack.operators import DEFAULT_BLOCK_SIZE, render_feedback_fm
+from fmstack.operators import DEFAULT_BLOCK_SIZE, render_feedback_fm, render_naive_stack, render_stack
 from fmstack.pm import render_feedback_pm, render_pm_chain
 
 FS = 96000.0
 N = 96000  # one second, almost twelve blocks
 ALLOWANCE = 3 * 8 * DEFAULT_BLOCK_SIZE  # three blocks of float64
+# the block temporaries of a stack's operator calls, about ten blocks at any depth
+STACK_ALLOWANCE = 12 * 8 * DEFAULT_BLOCK_SIZE
 
 
 def _peak_bytes(call) -> int:
@@ -39,8 +41,22 @@ def test_pm_renders_hold_one_float64_output(render):
     assert _peak_bytes(render) <= 8 * N + ALLOWANCE
 
 
-def test_feedback_fm_holds_its_audio_and_modulation_outputs():
-    assert _peak_bytes(lambda: render_feedback_fm(1.0, 500.0, 1.0, N, FS)) <= 16 * N + ALLOWANCE
+def test_feedback_fm_holds_one_float64_output():
+    assert _peak_bytes(lambda: render_feedback_fm(1.0, 500.0, 1.0, N, FS)) <= 8 * N + ALLOWANCE
+
+
+_STACKS = {
+    "stack_depth1": lambda n: render_stack([(1.0, 500.0)], n, FS),
+    "stack_depth8": lambda n: render_stack([(0.5, 300.0)] * 7 + [(1.0, 500.0)], n, FS),
+    "naive_stack": lambda n: render_naive_stack([(1.0, 300.0), (1.0, 500.0), (1.0, 200.0)], n, FS),
+}
+
+
+# at two durations, so that a second buffer growing with the length fails
+@pytest.mark.parametrize("n", [N, 3 * N], ids=["1s", "3s"])
+@pytest.mark.parametrize("render", _STACKS.values(), ids=_STACKS)
+def test_stack_renders_hold_one_float64_output(render, n):
+    assert _peak_bytes(lambda: render(n)) <= 8 * n + STACK_ALLOWANCE
 
 
 @pytest.mark.parametrize("bits", [16, 32])

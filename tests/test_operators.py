@@ -1,12 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fmstack import operators
 from fmstack.analysis import AnalysisFrame, measure_dc, measure_spectrum
 from fmstack.operators import (
     DEFAULT_BLOCK_SIZE,
-    Block,
     InstabilityError,
     Operator,
     render_feedback_fm,
@@ -66,10 +68,9 @@ def test_process_matches_tick_bitwise():
 
 def test_single_operator_stack_is_pure_tone():
     n = 96 * 16
-    blk = render_stack([(1.0, 500.0)], n, FS)
+    audio = render_stack([(1.0, 500.0)], n, FS)
     ideal = np.cos(2.0 * np.pi * 500.0 * np.arange(n) / FS)
-    assert np.abs(blk.audio - ideal).max() < 5e-6
-    assert blk.sample_rate == FS
+    assert np.abs(audio - ideal).max() < 5e-6
 
 
 def test_empty_stack_rejected():
@@ -77,43 +78,46 @@ def test_empty_stack_rejected():
         render_stack([], 64, FS)
 
 
+def _render_in_blocks(render, params, n, block_size):
+    """A stack render with the module's block length set for this one call."""
+    with mock.patch.object(operators, "DEFAULT_BLOCK_SIZE", block_size):
+        return render(params, n, FS)
+
+
 def test_block_size_invariance_bitwise():
-    a = render_stack(FIG3, 1000, FS, block_size=64)
-    b = render_stack(FIG3, 1000, FS, block_size=977)
-    c = render_stack(FIG3, 1000, FS, block_size=1)
-    assert np.array_equal(a.audio, b.audio)
-    assert np.array_equal(a.audio, c.audio)
-    assert np.array_equal(a.modulation, b.modulation)
+    a = _render_in_blocks(render_stack, FIG3, 1000, 64)
+    b = _render_in_blocks(render_stack, FIG3, 1000, 977)
+    c = _render_in_blocks(render_stack, FIG3, 1000, 1)
+    assert np.array_equal(a, b)
+    assert np.array_equal(a, c)
     # several default-size chunks plus a remainder
     n = 3 * DEFAULT_BLOCK_SIZE + 17
-    whole = render_stack(FIG3, n, FS, block_size=n)
+    whole = _render_in_blocks(render_stack, FIG3, n, n)
     for size in (DEFAULT_BLOCK_SIZE, 7):
-        chunked = render_stack(FIG3, n, FS, block_size=size)
-        assert np.array_equal(chunked.audio, whole.audio)
-        assert np.array_equal(chunked.modulation, whole.modulation)
+        assert np.array_equal(_render_in_blocks(render_stack, FIG3, n, size), whole)
 
 
 def test_order_reduction_to_single_oscillator():
     n = 512
     stack = render_stack([(0.0, 500.0), (0.0, 500.0), (1.0, 500.0)], n, FS)
     single = render_stack([(1.0, 500.0)], n, FS)
-    assert np.array_equal(stack.audio, single.audio)
+    assert np.array_equal(stack, single)
 
 
 def test_naive_equals_corrected_without_first_order_modulation():
     n = 512
     for params in [[(0.0, 500.0), (2.0, 500.0), (1.0, 500.0)], [(1.0, 500.0)]]:
         assert np.array_equal(
-            render_naive_stack(params, n, FS).audio,
-            render_stack(params, n, FS).audio,
+            render_naive_stack(params, n, FS),
+            render_stack(params, n, FS),
         )
 
 
 def test_two_operator_stack_matches_bessel_lines():
     # first-order FM: sidebands J_n(2) at 2000 + n*500
     n = 96 * 16
-    blk = render_stack([(2.0, 500.0), (1.0, 2000.0)], n, FS)
-    lines = measure_spectrum(AnalysisFrame(blk.audio, FS, 500.0)).mags[::16]
+    audio = render_stack([(2.0, 500.0), (1.0, 2000.0)], n, FS)
+    lines = measure_spectrum(AnalysisFrame(audio, FS, 500.0)).mags[::16]
     for k, measured in enumerate(lines):
         if measured < 1e-3:
             continue
@@ -127,7 +131,7 @@ def test_second_order_equivalence_to_pm():
     fs = 96000.0
     periods = 16
     n = round(fs / 500.0) * periods
-    fm_lines = measure_spectrum(AnalysisFrame(render_stack(FIG3, n, fs).audio, fs, 500.0), "hann").mags[::periods]
+    fm_lines = measure_spectrum(AnalysisFrame(render_stack(FIG3, n, fs), fs, 500.0), "hann").mags[::periods]
     pm = render_pm_chain([(3.0, 500.0), (2.0, 500.0), (1.0, 500.0)], n, fs)
     pm_lines = measure_spectrum(AnalysisFrame(pm, fs, 500.0), "hann").mags[::periods]
     floor = max(fm_lines.max(), pm_lines.max()) * 1e-3
@@ -169,6 +173,8 @@ def test_renders_reject_negative_sample_count():
             render([(1.0, 500.0)], -1, FS)
     with pytest.raises(ValueError, match="sample count must be >= 0"):
         render_feedback_fm(1.0, 500.0, 0.0, -1, FS)
+    with pytest.raises(ValueError, match="sample count must be >= 0"):
+        Operator(FS).process(1.0, 500.0, n_samples=-1)
 
 
 @pytest.mark.parametrize("sr", [0.0, -48000.0, np.inf, np.nan])
@@ -178,9 +184,7 @@ def test_operator_rejects_bad_sample_rate(sr):
 
 
 def test_feedback_fm_silence():
-    blk = render_feedback_fm(0.0, 500.0, 1.0, 256, FS)
-    assert np.all(blk.audio == 0.0)
-    assert np.all(blk.modulation == 0.0)
+    assert np.all(render_feedback_fm(0.0, 500.0, 1.0, 256, FS) == 0.0)
 
 
 @pytest.mark.parametrize("amp,freq,gain,sr", [
@@ -210,10 +214,8 @@ def test_feedback_fm_divergence_guard():
 @pytest.mark.parametrize("gain", [0.01, 0.5, 1.0])
 def test_feedback_fm_matches_ticks_bitwise(gain):
     n = 96 * 64
-    blk = render_feedback_fm(1.0, 500.0, gain, n, FS)
     ref = feedback_fm_ticks(1.0, 500.0, gain, n, FS)
-    assert np.array_equal(blk.audio, ref.audio)
-    assert np.array_equal(blk.modulation, ref.modulation)
+    assert np.array_equal(render_feedback_fm(1.0, 500.0, gain, n, FS), ref)
 
 
 # alias guard at samples 1 and 310, |modulation| guard at sample 1
@@ -228,22 +230,16 @@ def test_feedback_fm_diverges_at_tick_sample(amp, freq, gain):
 
 def test_feedback_fm_strong_dc():
     n = 96 * 64
-    blk = render_feedback_fm(1.0, 500.0, 1.0, n, FS)
-    assert abs(measure_dc(AnalysisFrame(blk.audio, FS, 500.0))) > 0.05
+    audio = render_feedback_fm(1.0, 500.0, 1.0, n, FS)
+    assert abs(measure_dc(AnalysisFrame(audio, FS, 500.0))) > 0.05
 
 
 def test_feedback_fm_envelope_decays():
     n = 96 * 64
-    blk = render_feedback_fm(1.0, 500.0, 0.5, n, FS)
-    frame = AnalysisFrame(blk.audio, FS, 500.0)
+    frame = AnalysisFrame(render_feedback_fm(1.0, 500.0, 0.5, n, FS), FS, 500.0)
     harm = measure_spectrum(frame).mags[::64][1:11]
     for k in range(9):
         assert harm[k] > harm[k + 1]
-
-
-def test_block_length_mismatch_rejected():
-    with pytest.raises(ValueError):
-        Block(np.zeros(4), np.zeros(5), FS)
 
 
 def _outcome(fn, *args, **kwargs):
@@ -309,8 +305,7 @@ def test_feedback_fm_matches_int_phase_oracle_bitwise(sr, amp, freq, gain, n):
     if isinstance(want, tuple):
         assert got == want
     else:
-        assert got.audio.tobytes() == want.audio.tobytes()
-        assert got.modulation.tobytes() == want.modulation.tobytes()
+        assert got.tobytes() == want.tobytes()
 
 
 # --- stack properties over random patches
@@ -339,10 +334,8 @@ _blocks_and_lengths = st.one_of(
 def test_chunked_render_equals_whole_buffer_bitwise(params, block_and_length, naive):
     block_size, n = block_and_length
     render = render_naive_stack if naive else render_stack
-    whole = render(params, n, FS, block_size=n)
-    chunked = render(params, n, FS, block_size=block_size)
-    assert chunked.audio.tobytes() == whole.audio.tobytes()
-    assert chunked.modulation.tobytes() == whole.modulation.tobytes()
+    whole = _render_in_blocks(render, params, n, n)
+    assert _render_in_blocks(render, params, n, block_size).tobytes() == whole.tobytes()
 
 
 def _grid_lines(signal, fs, grid, periods=16):
@@ -370,7 +363,7 @@ def test_commensurate_stack_matches_pm_oracle_within_1db(grid, harmonic, depth, 
     z_max = {2: 2.5, 3: 1.2}.get(depth, 1.0)
     indices = data.draw(st.lists(st.floats(0.1, z_max), min_size=depth - 1, max_size=depth - 1), label="indices")
     ops = [(z, freq) for z in indices] + [(1.0, freq)]
-    fm = render_stack(ops, n, fs).audio
+    fm = render_stack(ops, n, fs)
     pm = pm_chain(ops, n, fs)
     fm_lines, pm_lines = _grid_lines(fm, fs, grid), _grid_lines(pm, fs, grid)
     active = np.maximum(fm_lines, pm_lines) > max(fm_lines.max(), pm_lines.max()) * 1e-3

@@ -42,9 +42,9 @@ def test_freq_to_increment():
     assert freq_to_increment(-480.0, 48000) == -42949672
 
 
-@pytest.mark.parametrize("freq", [48000.0, -48000.0, 50000.0])
+@pytest.mark.parametrize("freq", [48000.0, -48000.0, 50000.0, np.inf, np.nan])
 def test_increment_out_of_range(freq):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be finite and below the sample rate"):
         freq_to_increment(freq, 48000)
 
 
