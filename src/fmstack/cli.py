@@ -74,6 +74,8 @@ class PatchSpec:
         values = [v for op in self.operators for v in op] + [self.feedback_gain, self.sample_rate, self.duration]
         if not all(math.isfinite(v) for v in values):
             raise UsageError("operator values, feedback gain, sample rate and duration must be finite")
+        if self.feedback_gain and self.topology not in ("fm-feedback", "pm-feedback"):
+            raise UsageError(f"topology {self.topology} has no feedback loop; its feedback gain must be 0")
         if self.sample_rate <= 0 or self.duration <= 0:
             raise UsageError("sample rate and duration must be positive")
         length = self.duration * self.sample_rate
@@ -169,7 +171,7 @@ def _analysis_grid(grid_hz: float | None, patches: list[PatchSpec]) -> float:
     """The --grid-hz value or, when it is not given, the gcd of the magnitudes
     of all nonzero operator frequencies of the patches, on values rounded to
     1e-6 Hz."""
-    if grid_hz is not None:  # checked where it is used, by _grid_period
+    if grid_hz is not None:  # checked where it is used, by _measure
         return grid_hz
     try:
         micro = [round(abs(f) * 1e6) for p in patches for _, f in p.operators if f]
@@ -183,32 +185,18 @@ def _analysis_grid(grid_hz: float | None, patches: list[PatchSpec]) -> float:
     return grid
 
 
-def _grid_period(patch: PatchSpec, grid: float, periods: int) -> int:
-    """Samples per period of a grid that divides the rate and fits `periods` periods."""
+def _measure(patch: PatchSpec, grid: float, window: str, periods: int | None = None):
+    """Spectrum of the first `periods` periods of `grid` (every whole period by
+    default), which are all that is rendered; the grid must divide the rate
+    and fit MIN_PERIODS periods."""
     spp = samples_per_period(patch.sample_rate, grid)
     if not spp:
         raise UsageError(f"grid {grid:g} Hz does not divide the sample rate")
-    if patch.n_samples < spp * periods:
-        raise UsageError(f"need at least {periods} grid periods; increase --dur")
-    return spp
-
-
-def _measure_patch(patch: PatchSpec, grid_hz: float | None, window: str):
-    """Spectrum of all whole grid periods of a patch; renders only those samples."""
-    grid = _analysis_grid(grid_hz, [patch])
-    spp = samples_per_period(patch.sample_rate, grid)
-    if grid_hz is None and (not spp or patch.n_samples < spp * MIN_PERIODS):
-        # a derived grid that does not divide the rate or fit MIN_PERIODS periods
-        # falls back to Hann on a synthetic grid; a given grid must do both
-        spp = patch.n_samples // MIN_PERIODS
-        if spp < 2:
-            raise UsageError("duration too short to analyze; increase --dur")
-        grid = patch.sample_rate / spp
-        window = "hann"
-    else:
-        spp = _grid_period(patch, grid, MIN_PERIODS)
-    frame = AnalysisFrame(render_patch(patch, spp * (patch.n_samples // spp)), patch.sample_rate, grid)
-    return measure_spectrum(frame, window), grid
+    if patch.n_samples < spp * MIN_PERIODS:
+        raise UsageError(f"need at least {MIN_PERIODS} grid periods; increase --dur")
+    periods = patch.n_samples // spp if periods is None else periods
+    frame = AnalysisFrame(render_patch(patch, spp * periods), patch.sample_rate, grid)
+    return measure_spectrum(frame, window)
 
 
 def _parse_op(text: str) -> tuple[float, float]:
@@ -263,23 +251,20 @@ def cmd_spectrum(args) -> int:
     if args.mode == "predicted":
         spec = predict_patch(patch)
     else:
-        spec, _ = _measure_patch(patch, args.grid_hz, args.window)
+        grid, window = _analysis_grid(args.grid_hz, [patch]), args.window
+        spp = samples_per_period(patch.sample_rate, grid)
+        if args.grid_hz is None and (not spp or patch.n_samples < spp * MIN_PERIODS):
+            # a derived grid that does not divide the rate or fit MIN_PERIODS periods
+            # falls back to Hann on a synthetic grid; a given grid must do both
+            spp = patch.n_samples // MIN_PERIODS
+            if spp < 2:
+                raise UsageError("duration too short to analyze; increase --dur")
+            grid, window = patch.sample_rate / spp, "hann"
+        spec = _measure(patch, grid, window)
     write_spectrum_csv(args.out, spec)
     n = len(spec.freqs)
     print(f"wrote {args.out}: {n} rows ({args.mode})")
     return 0
-
-
-def _line_mags(patch: PatchSpec, grid: float, periods: int) -> np.ndarray:
-    """Magnitudes at harmonic-grid lines over the first `periods` grid periods,
-    which are all that is rendered.
-
-    Hann-windowed: exact for bin-centered lines, robust against the slight
-    off-grid smear of discretely integrated FM partials.
-    """
-    spp = _grid_period(patch, grid, periods)
-    frame = AnalysisFrame(render_patch(patch, spp * periods), patch.sample_rate, grid)
-    return measure_spectrum(frame, "hann").mags[::periods]
 
 
 def _check_finite(args, *names: str) -> None:
@@ -295,16 +280,15 @@ def cmd_compare(args) -> int:
         raise UsageError("compared patches must share sample rate and duration")
     _check_finite(args, "tolerance_db", "floor_db")
     grid = _analysis_grid(args.grid_hz, [patch_a, patch_b])
-    lines_a = _line_mags(patch_a, grid, MIN_PERIODS)
-    lines_b = _line_mags(patch_b, grid, MIN_PERIODS)
+    # Hann-windowed: exact for bin-centered lines, robust against the slight
+    # off-grid smear of discretely integrated FM partials
+    lines_a = _measure(patch_a, grid, "hann", MIN_PERIODS).mags[::MIN_PERIODS]
+    lines_b = _measure(patch_b, grid, "hann", MIN_PERIODS).mags[::MIN_PERIODS]
     ref = max(lines_a.max(), lines_b.max())
     floor = ref * 10.0 ** (args.floor_db / 20.0)
     active = (lines_a > floor) | (lines_b > floor)
-    with np.errstate(divide="ignore"):
-        diff_db = np.abs(
-            20.0 * np.log10(np.maximum(lines_a, 1e-300))
-            - 20.0 * np.log10(np.maximum(lines_b, 1e-300))
-        )
+    diff_db = np.abs(20.0 * np.log10(np.maximum(lines_a, 1e-300))
+                     - 20.0 * np.log10(np.maximum(lines_b, 1e-300)))
     max_diff = float(diff_db[active].max()) if active.any() else 0.0
     ok = max_diff <= args.tolerance_db
     print(
@@ -320,9 +304,8 @@ def cmd_drift_demo(args) -> int:
     if patch.topology not in ("fm-stack", "fm-stack-naive"):
         raise UsageError("drift-demo expects an fm-stack or fm-stack-naive patch")
     _check_finite(args, "tolerance_hz")
-    # the patch's own grid, given to _measure_patch so that it has no fallback
     grid = _analysis_grid(args.grid_hz, [patch])
-    spec, _ = _measure_patch(patch, grid, args.window)
+    spec = _measure(patch, grid, args.window)
     max_offset, offenders = detect_carrier_drift(spec, grid, args.tolerance_hz)
     ok = max_offset <= args.tolerance_hz
     print(

@@ -8,7 +8,6 @@ without the carrier drift of the naive formulation.
 """
 
 import math
-from array import array
 
 import numpy as np
 
@@ -59,16 +58,9 @@ class Operator:
                 raise ValueError("need n_samples when no modulation input is given")
             if n_samples < 0:
                 raise ValueError("sample count must be >= 0")
-            if not n_samples:  # nothing to render or check, as for an empty fm
-                return np.empty(0), np.empty(0)
-            # a constant frequency: one increment, truncated as in tick()
-            freq = float(freq_hz)
-            if not abs(freq) < sr:
-                raise ValueError(f"instantaneous frequency aliases at fs={sr}")
-            increments = np.full(n_samples, int(freq * self.acc.freq_scale), dtype=np.int64)
-            audio = self.acc.run(amp, increments)
-            return audio, audio * freq
-        f = freq_hz + np.asarray(fm, dtype=np.float64)
+            f = np.full(n_samples, float(freq_hz))  # modulated by 0 Hz
+        else:
+            f = freq_hz + np.asarray(fm, dtype=np.float64)
         # min and max are NaN if any sample is
         if len(f) and not (-sr < f.min() and f.max() < sr):
             raise ValueError(f"instantaneous frequency aliases at fs={sr}")
@@ -142,7 +134,8 @@ def render_feedback_fm(
     frac_scale, freq_scale = FRAC_SCALE, PHASE_MODULUS / sample_rate
     modulus = float(PHASE_MODULUS)
     sr = float(sample_rate)
-    audio = array("d", [0.0]) * n_samples
+    audio = np.empty(n_samples)
+    buf = memoryview(audio)
     limit = 10.0 * sample_rate
     neg_sr, neg_limit = -sr, -limit
     trunc = math.trunc  # int() of a float costs about four times as much
@@ -163,6 +156,6 @@ def render_feedback_fm(
             raise InstabilityError(
                 f"feedback FM diverged at sample {n}: |modulation| {abs(m):.3g} > {limit:.3g}"
             )
-        audio[n] = s
+        buf[n] = s
         prev = m
-    return np.frombuffer(audio)
+    return audio

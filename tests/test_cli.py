@@ -255,6 +255,12 @@ def test_usage_errors_exit_2(argv, tmp_path):
     # a patch file that cannot be read: a missing path or a directory
     ["render", "--patch", "no-such-dir/patch.json"],
     ["render", "--patch", "."],
+    # a feedback gain on a topology without a feedback loop
+    ["render", "--topology", "fm-stack", "--op", "1:500", "--feedback-gain", "0.7"],
+    ["render", "--patch", '{"topology": "pm1", "operators": [[1, 500], [1, 440]], "feedback_gain": -0.1}'],
+    ["spectrum", "--topology", "fm-stack-naive", *_FIG3_96K, "--feedback-gain", "1e-300"],
+    # a derived grid that needs the fallback, on fewer than 32 samples
+    ["spectrum", "--topology", "fm-stack", "--op", "1:440.3", "--sr", "48000", "--dur", "0.0005"],
 ])
 def test_bad_values_exit_2_without_file(argv, tmp_path):
     out = tmp_path / "x.wav"
@@ -283,6 +289,11 @@ def test_bad_values_exit_2_without_file(argv, tmp_path):
     ["drift-demo", "--topology", "fm-stack", "--op", "1:440.3", "--op", "1:440.3", "--sr", "96000", "--dur", "0.2"],
     *[["drift-demo", "--topology", "fm-stack", "--op", top, "--op", "1:300", "--sr", "96000", "--dur", "0.128"]
       for top in ("1:500", "1:-500")],
+    # a feedback gain on a topology without a feedback loop, as a flag or in patch JSON
+    ["compare", "--topology-a", "fm-stack", "--topology-b", "pm2", *_FIG3_96K, "--feedback-gain", "0.5"],
+    ["compare", "--topology-a", "fm-stack", *_FIG3_96K, "--patch-b", json.dumps(
+        {"topology": "pm2", "operators": [[3, 500], [2, 500], [1, 500]], "feedback_gain": 0.5,
+         "sample_rate": 96000, "duration": 0.064})],
 ])
 def test_bad_analysis_values_exit_2(argv, capsys):
     assert main(argv) == 2
@@ -392,7 +403,8 @@ def _draw_patch(draw, topology, sample_rate, n):
     # indices up to 1.5 keep a 4-deep stack's instantaneous frequency below
     # 20 kHz; amp * gain < 1 keeps feedback FM from diverging
     ops = [(draw(st.floats(0.0, 1.5)), draw(freq)) for _ in range(depth - 1)] + [(draw(amp), draw(freq))]
-    gain = draw(st.floats(0.0, 0.9 if topology == "fm-feedback" else 1.5))
+    # only the feedback topologies take a nonzero gain
+    gain = draw(st.floats(0.0, 0.9 if topology == "fm-feedback" else 1.5)) if "feedback" in topology else 0.0
     return PatchSpec(topology, ops, feedback_gain=gain, sample_rate=sample_rate, duration=n / sample_rate)
 
 

@@ -344,11 +344,21 @@ def _grid_lines(signal, fs, grid, periods=16):
     return measure_spectrum(frame, "hann").mags[::periods]
 
 
+def _max_line_diff_db(ops, fs, grid):
+    """Largest FM/PM line difference in dB above a -60 dB floor, over 16 grid periods."""
+    n = round(fs / grid) * 16
+    fm_lines = _grid_lines(render_stack(ops, n, fs), fs, grid)
+    pm_lines = _grid_lines(pm_chain(ops, n, fs), fs, grid)
+    active = np.maximum(fm_lines, pm_lines) > max(fm_lines.max(), pm_lines.max()) * 1e-3
+    return np.abs(20.0 * np.log10(fm_lines[active] / pm_lines[active])).max()
+
+
 # The paper's patch family: every operator on one frequency of the grid, as
 # in Fig. 3. Past an index of about 1.4 at depth 3, and for mixed frequency
 # ratios, the left-sum phase integration of the oscillator breaks the exact
 # cancellations of some PM lines and the 1 dB bound does not hold at 96 kHz.
-# Deeper stacks hold it with indices up to 1.0.
+# Four operators hold it with indices up to 1.0; five hold it except where
+# every index is near 1.0, a corner this draw reaches rarely (pinned below).
 @settings(max_examples=25, deadline=None)
 @given(
     grid=st.sampled_from([250.0, 500.0]),
@@ -358,14 +368,16 @@ def _grid_lines(signal, fs, grid, periods=16):
 )
 def test_commensurate_stack_matches_pm_oracle_within_1db(grid, harmonic, depth, data):
     fs = 96000.0
-    n = round(fs / grid) * 16
     freq = grid * harmonic
     z_max = {2: 2.5, 3: 1.2}.get(depth, 1.0)
     indices = data.draw(st.lists(st.floats(0.1, z_max), min_size=depth - 1, max_size=depth - 1), label="indices")
     ops = [(z, freq) for z in indices] + [(1.0, freq)]
-    fm = render_stack(ops, n, fs)
-    pm = pm_chain(ops, n, fs)
-    fm_lines, pm_lines = _grid_lines(fm, fs, grid), _grid_lines(pm, fs, grid)
-    active = np.maximum(fm_lines, pm_lines) > max(fm_lines.max(), pm_lines.max()) * 1e-3
-    diff_db = 20.0 * np.log10(fm_lines[active] / pm_lines[active])
-    assert np.abs(diff_db).max() <= 1.0
+    assert _max_line_diff_db(ops, fs, grid) <= 1.0
+
+
+# Five operators at 1000 Hz, every index 1.0, read 1.106 dB from PM on the
+# 500 Hz grid (0.91 dB at index 0.98). Trapezoidal phase integration,
+# ROADMAP item 1, is expected to bring it within the bound.
+@pytest.mark.xfail(strict=True, reason="left-sum phase integration; ROADMAP item 1")
+def test_five_operator_stack_at_index_1_matches_pm_oracle_within_1db():
+    assert _max_line_diff_db([(1.0, 1000.0)] * 5, 96000.0, 500.0) <= 1.0
