@@ -1,8 +1,11 @@
 """Command-line front end: render patches to WAV, export spectra, run checks.
 
 Exit codes: 0 success / within tolerance, 1 tolerance exceeded, 2 usage
-error, 3 runtime or instability error. Outputs are written only after the
-computation finished, so a failing run leaves no partial files.
+error, 3 runtime or instability error. A failing run leaves no output file
+and leaves an existing one as it was: `render` streams its WAV into a
+temporary file beside --out and atomically replaces --out with it once the
+whole render has succeeded; the spectrum CSV is written only after the
+computation finished.
 """
 
 import argparse
@@ -22,9 +25,10 @@ from .analysis import (
     measure_spectrum,
     samples_per_period,
 )
-from .io_formats import WavSpec, write_spectrum_csv, write_wav
+from .io_formats import WavSpec, wav_sink, write_spectrum_csv
 from .operators import (
     InstabilityError,
+    Sink,
     render_feedback_fm,
     render_naive_stack,
     render_stack,
@@ -115,33 +119,36 @@ class PatchSpec:
         return round(self.duration * self.sample_rate)
 
 
-def _render_pm(patch: PatchSpec, n_samples: int) -> np.ndarray:
+def _render_pm(patch: PatchSpec, n_samples: int, sink: Sink | None = None) -> np.ndarray | None:
     try:
-        return render_pm_chain(patch.operators, n_samples, patch.sample_rate)
+        return render_pm_chain(patch.operators, n_samples, patch.sample_rate, sink)
     except ValueError as exc:  # a negative modulation index
         raise UsageError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
 class Topology:
-    """Operator count range, renderer of a patch's first n samples, and analytic
-    predictor (None if it has none)."""
+    """Operator count range, renderer of a patch's first n samples (returned,
+    or handed to a sink a block at a time), and analytic predictor (None if
+    it has none)."""
 
     arity: tuple[int, int]
-    render: Callable[[PatchSpec, int], np.ndarray]
+    render: Callable[[PatchSpec, int, Sink | None], np.ndarray | None]
     predict: Callable[[list], LineSpectrum] | None = None
 
 
 TOPOLOGIES = {
-    "fm-stack": Topology((1, 64), lambda p, n: render_stack(p.operators, n, p.sample_rate), predict_stack),
-    "fm-stack-naive": Topology((1, 64), lambda p, n: render_naive_stack(p.operators, n, p.sample_rate)),
+    "fm-stack": Topology((1, 64), lambda p, n, sink=None: render_stack(
+        p.operators, n, p.sample_rate, sink), predict_stack),
+    "fm-stack-naive": Topology((1, 64), lambda p, n, sink=None: render_naive_stack(
+        p.operators, n, p.sample_rate, sink)),
     "pm-stack": Topology((2, 64), _render_pm, predict_stack),
     "pm1": Topology((2, 2), _render_pm, predict_stack),
     "pm2": Topology((3, 3), _render_pm, predict_stack),
-    "fm-feedback": Topology((1, 1), lambda p, n: render_feedback_fm(
-        *p.operators[0], p.feedback_gain, n, p.sample_rate)),
-    "pm-feedback": Topology((1, 1), lambda p, n: render_feedback_pm(
-        *p.operators[0], p.feedback_gain, n, p.sample_rate)),
+    "fm-feedback": Topology((1, 1), lambda p, n, sink=None: render_feedback_fm(
+        *p.operators[0], p.feedback_gain, n, p.sample_rate, sink)),
+    "pm-feedback": Topology((1, 1), lambda p, n, sink=None: render_feedback_pm(
+        *p.operators[0], p.feedback_gain, n, p.sample_rate, sink)),
 }
 
 
@@ -240,9 +247,11 @@ def cmd_render(args) -> int:
         spec = WavSpec(round(patch.sample_rate), args.bits)
     except ValueError as exc:  # a rate the WAV header cannot hold, checked before rendering
         raise UsageError(str(exc)) from exc
-    signal = render_patch(patch)
-    write_wav(args.out, signal, spec)
-    print(f"wrote {args.out}: {len(signal)} samples at {patch.sample_rate:g} Hz")
+    # each block goes from the engine to the encoder: memory stays a few
+    # blocks at any duration
+    with wav_sink(args.out, patch.n_samples, spec) as sink:
+        TOPOLOGIES[patch.topology].render(patch, patch.n_samples, sink)
+    print(f"wrote {args.out}: {patch.n_samples} samples at {patch.sample_rate:g} Hz")
     return 0
 
 
@@ -279,6 +288,13 @@ def cmd_compare(args) -> int:
     if patch_a.sample_rate != patch_b.sample_rate or patch_a.duration != patch_b.duration:
         raise UsageError("compared patches must share sample rate and duration")
     _check_finite(args, "tolerance_db", "floor_db")
+    # thresholds that decide the result whatever the signal: a negative
+    # tolerance fails every pair, and as no line lies above the strongest
+    # one, a floor at or above 0 dB passes every pair on zero lines
+    if args.tolerance_db < 0:
+        raise UsageError(f"--tolerance-db must be >= 0, got {args.tolerance_db:g}")
+    if args.floor_db >= 0:
+        raise UsageError(f"--floor-db must be below 0 dB, the strongest line, got {args.floor_db:g}")
     grid = _analysis_grid(args.grid_hz, [patch_a, patch_b])
     # Hann-windowed: exact for bin-centered lines, robust against the slight
     # off-grid smear of discretely integrated FM partials
@@ -304,6 +320,8 @@ def cmd_drift_demo(args) -> int:
     if patch.topology not in ("fm-stack", "fm-stack-naive"):
         raise UsageError("drift-demo expects an fm-stack or fm-stack-naive patch")
     _check_finite(args, "tolerance_hz")
+    if args.tolerance_hz < 0:  # fails every patch
+        raise UsageError(f"--tolerance-hz must be >= 0, got {args.tolerance_hz:g}")
     grid = _analysis_grid(args.grid_hz, [patch])
     spec = _measure(patch, grid, args.window)
     max_offset, offenders = detect_carrier_drift(spec, grid, args.tolerance_hz)

@@ -4,7 +4,10 @@ Mono only; output bytes are a pure function of the input so renders are
 reproducible file-for-file.
 """
 
+import contextlib
+import itertools
 import logging
+import os
 import struct
 from dataclasses import dataclass
 
@@ -34,56 +37,100 @@ class WavSpec:
             )
 
 
-def write_wav(path, samples, spec: WavSpec) -> None:
-    """Write samples (nominal [-1, 1]) as a RIFF/WAVE file.
+def _create_beside(path) -> tuple[str, int]:
+    """Create a new, empty file in the directory of path; returns its name and
+    a descriptor open for writing. Its mode is 0o666 less the umask, as for
+    open(path, "wb")."""
+    head = os.path.dirname(os.fspath(path))
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    for n in itertools.count():
+        tmp = os.path.join(head, f".fmstack-{os.getpid()}-{n}.tmp")
+        try:
+            return tmp, os.open(tmp, flags, 0o666)
+        except FileExistsError:  # left by a run that was killed
+            continue
 
+
+@contextlib.contextmanager
+def wav_sink(path, n_samples: int, spec: WavSpec):
+    """Write a RIFF/WAVE file of n_samples samples handed over a block at a time.
+
+    The context yields a sink: call it with each block of samples (nominal
+    [-1, 1], at most DEFAULT_BLOCK_SIZE of them), in order, n_samples in all.
     Values outside [-1, 1] are clipped (count goes to the log); NaN or
-    infinite samples raise ValueError before the file is opened. The 16-bit
-    path rounds to nearest with +1.0 stored as 32767; the float path is
-    lossless. Samples are encoded a block at a time into the file's data
-    buffer; the caller's array is left unchanged.
+    infinite samples are counted over all blocks and raise ValueError when
+    the context ends. The 16-bit path rounds to nearest with +1.0 stored as
+    32767; the float path is lossless. A block is read only during the call.
+
+    The header and each encoded block go to a temporary file beside path,
+    which replaces path only when the context ends without an exception,
+    after n_samples finite samples. On any other outcome it is removed and
+    path is left as it was.
     """
-    samples = np.asarray(samples, dtype=np.float64)
-    if 36 + len(samples) * (spec.bit_depth // 8) > 0xFFFFFFFF:
-        raise ValueError(f"{len(samples)} samples overflow the 4 GiB size field of a RIFF file")
-    data = np.empty(len(samples), dtype="<i2" if spec.bit_depth == 16 else "<f4")
-    bad = clipped = 0
-    for start in range(0, len(samples), DEFAULT_BLOCK_SIZE):
-        block = samples[start : start + DEFAULT_BLOCK_SIZE]
+    bytes_per_sample = spec.bit_depth // 8
+    if 36 + n_samples * bytes_per_sample > 0xFFFFFFFF:
+        raise ValueError(f"{n_samples} samples overflow the 4 GiB size field of a RIFF file")
+    size = min(n_samples, DEFAULT_BLOCK_SIZE)
+    data = np.empty(size, dtype="<i2" if spec.bit_depth == 16 else "<f4")
+    scaled = np.empty(size)  # the clipped or 16-bit scaled block
+    seen = bad = clipped = 0
+
+    def encode(block):
+        nonlocal seen, bad, clipped
+        n = len(block)
+        seen += n
         # min and max are NaN if any sample is, so one check covers the
         # common in-range block; only a block that fails it is scanned again
         if not (-1.0 <= block.min() and block.max() <= 1.0):
             bad += int(np.count_nonzero(~np.isfinite(block)))
             clipped += int(np.count_nonzero((block < -1.0) | (block > 1.0)))
-            block = np.clip(block, -1.0, 1.0)
+            block = np.clip(block, -1.0, 1.0, out=scaled[:n])
         if bad:  # the write fails; the rest is only counted
-            continue
+            return
         if spec.bit_depth == 16:
-            block = block * 32767.0
+            block = np.multiply(block, 32767.0, out=scaled[:n])
             np.rint(block, out=block)
-        data[start : start + len(block)] = block
-    if bad:
-        raise ValueError(f"write_wav: {bad} of {len(samples)} samples are NaN or infinite")
-    if clipped:
-        log.warning("write_wav: clipped %d of %d samples to [-1, 1]", clipped, len(samples))
-    fmt_tag = 1 if spec.bit_depth == 16 else 3
-    bytes_per_sample = spec.bit_depth // 8
-    byte_rate = spec.sample_rate * bytes_per_sample
-    header = b"RIFF" + struct.pack("<I", 36 + data.nbytes) + b"WAVE"
+        data[:n] = block
+        fh.write(memoryview(data[:n]))
+
+    data_bytes = n_samples * bytes_per_sample
+    header = b"RIFF" + struct.pack("<I", 36 + data_bytes) + b"WAVE"
     header += b"fmt " + struct.pack(
         "<IHHIIHH",
         16,
-        fmt_tag,
+        1 if spec.bit_depth == 16 else 3,  # integer PCM or IEEE float
         1,  # channels
         spec.sample_rate,
-        byte_rate,
+        spec.sample_rate * bytes_per_sample,  # byte rate
         bytes_per_sample,  # block align
         spec.bit_depth,
     )
-    header += b"data" + struct.pack("<I", data.nbytes)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(memoryview(data))
+    header += b"data" + struct.pack("<I", data_bytes)
+    tmp, fd = _create_beside(path)
+    try:
+        with open(fd, "wb") as fh:
+            fh.write(header)
+            yield encode
+        if bad:
+            raise ValueError(f"write_wav: {bad} of {seen} samples are NaN or infinite")
+        if seen != n_samples:
+            raise ValueError(f"write_wav: got {seen} samples for a header of {n_samples}")
+        if clipped:
+            log.warning("write_wav: clipped %d of %d samples to [-1, 1]", clipped, seen)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def write_wav(path, samples, spec: WavSpec) -> None:
+    """Write samples (nominal [-1, 1]) as a RIFF/WAVE file through wav_sink,
+    a block at a time; the caller's array is left unchanged. NaN or infinite
+    samples raise ValueError and leave path as it was."""
+    samples = np.asarray(samples, dtype=np.float64)
+    with wav_sink(path, len(samples), spec) as sink:
+        for start in range(0, len(samples), DEFAULT_BLOCK_SIZE):
+            sink(samples[start : start + DEFAULT_BLOCK_SIZE])
 
 
 _CSV_VECTOR_MIN_ROWS = 128  # measured break-even: shorter spectra format faster with one %

@@ -8,16 +8,46 @@ without the carrier drift of the naive formulation.
 """
 
 import math
+from collections.abc import Callable
 
 import numpy as np
 
 from .wavetable import COSINE_TABLE, DIFF_TABLE, FRAC_SCALE, PHASE_MODULUS, PhaseAccumulator, check_render_args
 
-# Block length of every render and of the WAV encoder: each fills one
-# preallocated output a block at a time, so its temporaries are a few blocks
-# long at any duration. Output is bit-identical at any size; 8192 was the
-# fastest stack block size measured (64 to whole-buffer).
+# Block length of every render and of the WAV encoder: each works a block
+# at a time, so its temporaries are a few blocks long at any duration.
+# Output is bit-identical at any size; 8192 was the fastest stack block size
+# measured (64 to whole-buffer).
 DEFAULT_BLOCK_SIZE = 8192
+
+Sink = Callable[[np.ndarray], object]
+
+
+def output_blocks(n_samples: int, sink: Sink | None = None):
+    """The output of a render of n_samples samples, as (result, blocks).
+
+    blocks yields (start, block) pairs, block being the float64 buffer the
+    render fills with samples start to start + len(block), at most
+    DEFAULT_BLOCK_SIZE of them. Without a sink, result is a new array of all
+    the samples and each block a view of it. With one, result is None, every
+    block is one reused buffer, and sink(block) is called once the render has
+    filled it, when it asks for the next block; the buffer is valid only
+    during that call.
+    """
+    size = DEFAULT_BLOCK_SIZE
+    if sink is None:
+        out = np.empty(n_samples)
+        return out, ((start, out[start : start + size]) for start in range(0, n_samples, size))
+    buf = np.empty(min(n_samples, size))
+
+    def blocks():
+        for start in range(0, n_samples, size):
+            block = buf[: min(size, n_samples - start)]
+            yield start, block
+            sink(block)
+
+    return None, blocks()
+
 
 class InstabilityError(RuntimeError):
     """A feedback loop diverged."""
@@ -73,15 +103,14 @@ class Operator:
         return audio, modulation
 
 
-def _render(params, n_samples, sample_rate, naive) -> np.ndarray:
+def _render(params, n_samples, sample_rate, naive, sink) -> np.ndarray | None:
     if not params:
         raise ValueError("stack needs at least one operator")
     check_render_args([v for op in params for v in op], n_samples, sample_rate)
     ops = [Operator(sample_rate) for _ in params]
-    out = np.empty(n_samples)
+    out, blocks = output_blocks(n_samples, sink)
     # the bottom operator's modulation output feeds nothing and is dropped
-    for start in range(0, n_samples, DEFAULT_BLOCK_SIZE):
-        block = out[start : start + DEFAULT_BLOCK_SIZE]
+    for _, block in blocks:
         mod = None
         for (amp, freq_hz), op in zip(params, ops):
             audio, mod = op.process(amp, freq_hz, fm=mod, n_samples=len(block), naive=naive)
@@ -89,22 +118,27 @@ def _render(params, n_samples, sample_rate, naive) -> np.ndarray:
     return out
 
 
-def render_stack(params: list[tuple[float, float]], n_samples: int, sample_rate: float) -> np.ndarray:
+def render_stack(
+    params: list[tuple[float, float]], n_samples: int, sample_rate: float, sink: Sink | None = None
+) -> np.ndarray | None:
     """Render a modulation stack, top operator first, and return its audio.
 
     params lists (amp_or_index, freq_hz) pairs top to bottom: every entry but
     the last acts as a modulation index, the last is the output amplitude.
-    Non-finite values, a non-positive sample rate and a negative sample count
-    raise ValueError.
+    Given a sink, the audio goes to it a block at a time instead and None is
+    returned (see output_blocks). Non-finite values, a non-positive sample
+    rate and a negative sample count raise ValueError.
     """
-    return _render(params, n_samples, sample_rate, naive=False)
+    return _render(params, n_samples, sample_rate, False, sink)
 
 
-def render_naive_stack(params: list[tuple[float, float]], n_samples: int, sample_rate: float) -> np.ndarray:
+def render_naive_stack(
+    params: list[tuple[float, float]], n_samples: int, sample_rate: float, sink: Sink | None = None
+) -> np.ndarray | None:
     """Same wiring as render_stack but with the incorrect static-frequency
     modulation outputs, kept as the carrier-drift demonstration; returns the
-    audio."""
-    return _render(params, n_samples, sample_rate, naive=True)
+    audio, or None with a sink."""
+    return _render(params, n_samples, sample_rate, True, sink)
 
 
 def render_feedback_fm(
@@ -113,9 +147,11 @@ def render_feedback_fm(
     feedback_gain: float,
     n_samples: int,
     sample_rate: float,
-) -> np.ndarray:
+    sink: Sink | None = None,
+) -> np.ndarray | None:
     """One operator modulated by its own unit-delayed modulation output;
-    returns its audio.
+    returns its audio, or hands it to a sink a block at a time and returns
+    None (see output_blocks).
 
     feedback_gain scales the fed-back signal independently of the output
     level. Raises InstabilityError when the loop diverges (|modulation| past
@@ -134,28 +170,30 @@ def render_feedback_fm(
     frac_scale, freq_scale = FRAC_SCALE, PHASE_MODULUS / sample_rate
     modulus = float(PHASE_MODULUS)
     sr = float(sample_rate)
-    audio = np.empty(n_samples)
-    buf = memoryview(audio)
     limit = 10.0 * sample_rate
     neg_sr, neg_limit = -sr, -limit
     trunc = math.trunc  # int() of a float costs about four times as much
     phase = 0.0
     prev = 0.0
-    for n in range(n_samples):
-        f = freq_hz + feedback_gain * prev
-        if not neg_sr < f < sr:
-            raise InstabilityError(
-                f"feedback FM diverged at sample {n}: instantaneous frequency {f} Hz aliases at fs={sr}"
-            )
-        x = phase * frac_scale
-        i = trunc(x)
-        s = amp * (tab[i] + (x - i) * dtab[i])
-        phase = (phase + trunc(f * freq_scale)) % modulus
-        m = s * f
-        if m > limit or m < neg_limit:
-            raise InstabilityError(
-                f"feedback FM diverged at sample {n}: |modulation| {abs(m):.3g} > {limit:.3g}"
-            )
-        buf[n] = s
-        prev = m
+    audio, blocks = output_blocks(n_samples, sink)
+    for start, block in blocks:
+        buf = memoryview(block)
+        for n in range(len(block)):
+            f = freq_hz + feedback_gain * prev
+            if not neg_sr < f < sr:
+                raise InstabilityError(
+                    f"feedback FM diverged at sample {start + n}: "
+                    f"instantaneous frequency {f} Hz aliases at fs={sr}"
+                )
+            x = phase * frac_scale
+            i = trunc(x)
+            s = amp * (tab[i] + (x - i) * dtab[i])
+            phase = (phase + trunc(f * freq_scale)) % modulus
+            m = s * f
+            if m > limit or m < neg_limit:
+                raise InstabilityError(
+                    f"feedback FM diverged at sample {start + n}: |modulation| {abs(m):.3g} > {limit:.3g}"
+                )
+            buf[n] = s
+            prev = m
     return audio

@@ -9,32 +9,35 @@ import math
 
 import numpy as np
 
-from .operators import DEFAULT_BLOCK_SIZE
+from .operators import Sink, output_blocks
 from .wavetable import check_render_args
 
 
-def _sample_times(out: np.ndarray, sample_rate: float):
-    """Yield (start, block) over out a block at a time, each block filled
+def _sample_times(blocks, sample_rate: float):
+    """Yield the (start, block) pairs of output_blocks, each block filled
     with the sample times n/fs of its samples.
 
     arange(start, stop) holds the same integers as a slice of
-    arange(len(out)), so every time has the bits of the whole-buffer form.
+    arange(n_samples), so every time has the bits of the whole-buffer form.
     """
-    for start in range(0, len(out), DEFAULT_BLOCK_SIZE):
-        t = out[start : start + DEFAULT_BLOCK_SIZE]
+    for start, t in blocks:
         t[:] = np.arange(start, start + len(t))
         t /= sample_rate
         yield start, t
 
 
-def render_pm_chain(params: list[tuple[float, float]], n_samples: int, sample_rate: float) -> np.ndarray:
+def render_pm_chain(
+    params: list[tuple[float, float]], n_samples: int, sample_rate: float, sink: Sink | None = None
+) -> np.ndarray | None:
     """PM stack of any depth: amp*cos(2*pi*fc*t + m), where each modulator,
     top first, makes m = z*sin(2*pi*f*t + m) from m = 0.
 
     params lists (index, freq_hz) pairs top to bottom, the carrier's
-    (amp, freq_hz) last, as for render_stack. Non-finite values, a negative
-    modulation index, a non-positive sample rate, an empty stack and a
-    negative sample count raise ValueError.
+    (amp, freq_hz) last, as for render_stack. Returns the samples, or hands
+    them to a sink a block at a time and returns None (see
+    operators.output_blocks). Non-finite values, a negative modulation index,
+    a non-positive sample rate, an empty stack and a negative sample count
+    raise ValueError.
     """
     if not params:
         raise ValueError("stack needs at least one operator")
@@ -42,8 +45,8 @@ def render_pm_chain(params: list[tuple[float, float]], n_samples: int, sample_ra
     *mods, (amp, fc) = params
     if any(z < 0 for z, _ in mods):
         raise ValueError("modulation indices must be >= 0")
-    out = np.empty(n_samples)
-    for _, t in _sample_times(out, sample_rate):
+    out, blocks = output_blocks(n_samples, sink)
+    for _, t in _sample_times(blocks, sample_rate):
         mod = None
         for z, f in mods:  # each level in place
             x = (2.0 * np.pi * f) * t
@@ -65,24 +68,26 @@ def render_feedback_pm(
     feedback_gain: float,
     n_samples: int,
     sample_rate: float,
-) -> np.ndarray:
+    sink: Sink | None = None,
+) -> np.ndarray | None:
     """Feedback PM with a one-sample delay: out[n] = amp*cos(w*n/fs + g*out[n-1]).
 
-    Non-finite arguments, a non-positive sample rate and a negative sample
-    count raise ValueError.
+    Returns the samples, or hands them to a sink a block at a time and
+    returns None (see operators.output_blocks). Non-finite arguments, a
+    non-positive sample rate and a negative sample count raise ValueError.
     """
     check_render_args((amp, freq_hz, feedback_gain), n_samples, sample_rate)
     w = 2.0 * math.pi * freq_hz
     cos = math.cos
-    out = np.empty(n_samples)
-    buf = memoryview(out)
     prev = 0.0
-    # the carrier phase w*(n/fs) is vectorized into the output a block at a
-    # time; the recurrence through prev then overwrites it sample by sample,
-    # a scalar loop over Python floats
-    for start, wt in _sample_times(out, sample_rate):
+    # the carrier phase w*(n/fs) is vectorized into the block; the recurrence
+    # through prev then overwrites it sample by sample, a scalar loop over
+    # Python floats
+    out, blocks = output_blocks(n_samples, sink)
+    for _, wt in _sample_times(blocks, sample_rate):
         wt *= w
-        for i in range(start, start + len(wt)):
+        buf = memoryview(wt)
+        for i in range(len(wt)):
             prev = amp * cos(buf[i] + feedback_gain * prev)
             buf[i] = prev
     return out

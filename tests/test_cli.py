@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fmstack.cli import TOPOLOGIES, PatchSpec, Topology, UsageError, main, render_patch
+from fmstack.io_formats import WavSpec, write_wav
 from fmstack.operators import DEFAULT_BLOCK_SIZE, InstabilityError
 
 FIG3_OPS = ["--op", "3:500", "--op", "2:500", "--op", "1:500"]
@@ -183,14 +184,66 @@ def test_instability_exits_3_without_file(tmp_path):
     assert not out.exists()
 
 
+def _render_nan(patch, n, sink=None, render=TOPOLOGIES["pm-feedback"].render):
+    """pm-feedback with every block NaN on its way to the sink of `render`."""
+    return render(patch, n, lambda block: sink(np.full(len(block), np.nan)))
+
+
 def test_non_finite_render_exits_3_without_file(tmp_path, monkeypatch, capsys):
     # no valid patch renders NaN today; a renderer that does must not reach the file
-    monkeypatch.setitem(TOPOLOGIES, "pm-feedback", Topology((1, 1), lambda p, n: np.full(n, np.nan)))
+    monkeypatch.setitem(TOPOLOGIES, "pm-feedback", Topology((1, 1), _render_nan))
     out = tmp_path / "nan.wav"
     code = main(["render", "--topology", "pm-feedback", "--op", "1:500", "--dur", "0.01", "--out", str(out)])
     assert code == 3
     assert "NaN or infinite" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_render_leaves_only_its_output(tmp_path):
+    out = tmp_path / "fig3.wav"
+    assert main(["render", "--topology", "fm-stack", *FIG3_OPS, "--dur", "0.5", "--out", str(out)]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["fig3.wav"]
+    assert len(out.read_bytes()) == 44 + 4 * 24000
+
+
+def _diverge_after_two_blocks(patch, n, sink=None, render=TOPOLOGIES["pm-feedback"].render):
+    """pm-feedback that diverges once two blocks have reached the sink."""
+    handed = []
+
+    def forward(block):
+        sink(block)
+        handed.append(len(block))
+        if len(handed) == 2:
+            raise InstabilityError("diverged after two blocks")
+
+    return render(patch, n, forward)
+
+
+def _tree(root):
+    """Every path under root with its bytes, None for a directory."""
+    return {p.relative_to(root): None if p.is_dir() else p.read_bytes() for p in root.rglob("*")}
+
+
+# flags of a render that fails, and the renderer it uses in place of
+# pm-feedback's, or "directory" where --out names an existing directory
+@pytest.mark.parametrize("flags, renderer", [
+    (["--topology", "fm-feedback", "--op", "1:500", "--feedback-gain", "50"], None),
+    (["--topology", "pm-feedback", "--op", "1:500"], _render_nan),
+    (["--topology", "pm-feedback", "--op", "1:500"], _diverge_after_two_blocks),
+    (["--topology", "fm-stack", *FIG3_OPS], "directory"),
+], ids=["instability", "nan", "diverges_after_two_blocks", "out_is_a_directory"])
+def test_failing_render_leaves_the_directory_as_it_was(flags, renderer, tmp_path, monkeypatch):
+    out = tmp_path / "out.wav"
+    if renderer == "directory":
+        out.mkdir()
+        (out / "kept.txt").write_bytes(b"kept")
+    else:
+        out.write_bytes(b"an earlier render")
+        if renderer is not None:
+            monkeypatch.setitem(TOPOLOGIES, "pm-feedback", Topology((1, 1), renderer))
+    before = _tree(tmp_path)
+    assert main(["render", *flags, "--sr", "48000", "--dur", "0.5", "--out", str(out)]) == 3
+    assert _tree(tmp_path) == before  # no temporary file, the old output untouched
 
 
 def test_patch_json_file(tmp_path):
@@ -281,6 +334,14 @@ def test_bad_values_exit_2_without_file(argv, tmp_path):
       for flag in ("--floor-db", "--tolerance-db") for value in ("nan", "inf", "-inf")],
     *[["drift-demo", "--topology", "fm-stack-naive", *_FIG3_96K, "--tolerance-hz=" + value]
       for value in ("nan", "inf", "-inf")],
+    # nor may one decide the result whatever the signal: no line lies above
+    # a floor at or above 0 dB (the naive stack reads 80.4 dB off without
+    # one), and a negative tolerance fails patches that match within 0.011 dB
+    *[["compare", "--topology-a", "fm-stack-naive", "--topology-b", "pm2", "--op", "2:500", "--op", "1.5:500",
+       "--op", "1:500", "--sr", "96000", "--dur", "0.1", "--floor-db", floor] for floor in ("10", "0")],
+    ["compare", "--topology-a", "fm-stack", "--topology-b", "pm2", *["--op", "1:500"] * 3, "--sr", "96000",
+     "--dur", "0.064", "--tolerance-db=-0.5"],
+    ["drift-demo", "--topology", "fm-stack", *_FIG3_96K, "--grid-hz", "500", "--tolerance-hz=-1"],
     # a given grid is never replaced: the naive stack is ~164 Hz off the 500 Hz grid
     *[["drift-demo", "--topology", "fm-stack-naive", *FIG3_OPS, "--sr", "96000", "--dur", "0.128", "--grid-hz", grid]
       for grid in ("7", "333.3", "1e-3")],
@@ -425,14 +486,48 @@ def test_short_render_is_a_prefix_of_the_full_render(topology, sample_rate, n, d
         assert np.array_equal(render_patch(patch, k), full[:k]), k
 
 
+@settings(max_examples=30, deadline=None)
+@given(topology=st.sampled_from(sorted(TOPOLOGIES)), sample_rate=st.sampled_from([48000.0, 96000.0]),
+       n=st.sampled_from([1, 100, *(m * DEFAULT_BLOCK_SIZE + d for m in (1, 2) for d in (-1, 0, 1))]),
+       data=st.data())
+def test_blocks_handed_to_a_sink_are_the_returned_array(topology, sample_rate, n, data):
+    patch = _draw_patch(data.draw, topology, sample_rate, n)
+    blocks, buffers = [], set()
+
+    def sink(block):
+        buffers.add(block.__array_interface__["data"][0])
+        blocks.append(block.copy())  # the buffer is reused for the next block
+
+    assert TOPOLOGIES[topology].render(patch, n, sink) is None
+    assert [len(b) for b in blocks] == [min(DEFAULT_BLOCK_SIZE, n - s) for s in range(0, n, DEFAULT_BLOCK_SIZE)]
+    assert len(buffers) == 1
+    assert np.concatenate(blocks).tobytes() == render_patch(patch).tobytes()
+
+
+@pytest.mark.parametrize("bits", [16, 32])
+@pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+def test_render_command_writes_the_bytes_of_write_wav(topology, bits, tmp_path, caplog):
+    # an output amplitude of 1.5 clips, so the clip path is compared too
+    lo, _ = TOPOLOGIES[topology].arity
+    ops = [(0.7, 300.0)] * (lo - 1) + [(1.5, 500.0)]
+    gain = 0.5 if "feedback" in topology else 0.0
+    patch = PatchSpec(topology, ops, feedback_gain=gain, sample_rate=48000.0, duration=0.4)
+    flags = [f"--op={a}:{f}" for a, f in ops] + ["--feedback-gain", str(gain), "--sr", "48000", "--dur", "0.4"]
+    out = tmp_path / "cli.wav"
+    assert main(["render", "--topology", topology, *flags, "--bits", str(bits), "--out", str(out)]) == 0
+    write_wav(tmp_path / "array.wav", render_patch(patch), WavSpec(48000, bits))
+    assert out.read_bytes() == (tmp_path / "array.wav").read_bytes()
+    assert caplog.text.count("clipped") == 2
+
+
 @pytest.fixture
 def render_lengths(monkeypatch):
     """Sample counts asked of every topology's renderer, in call order."""
     lengths = []
     for name, topology in list(TOPOLOGIES.items()):
-        def spy(patch, n, render=topology.render):
+        def spy(patch, n, sink=None, render=topology.render):
             lengths.append(n)
-            return render(patch, n)
+            return render(patch, n, sink)
         monkeypatch.setitem(TOPOLOGIES, name, dataclasses.replace(topology, render=spy))
     return lengths
 
@@ -476,10 +571,10 @@ def test_analysis_misses_errors_past_the_samples_it_reads(patch, command, length
     # stands for a patch that aliases or diverges only after them: the
     # analysis passes, and only `render` of the whole duration sees the error.
     for name, topology in list(TOPOLOGIES.items()):
-        def render(patch, n, render=topology.render):
+        def render(patch, n, sink=None, render=topology.render):
             if n > max(lengths):
                 raise InstabilityError(f"diverged past sample {max(lengths)}")
-            return render(patch, n)
+            return render(patch, n, sink)
         monkeypatch.setitem(TOPOLOGIES, name, dataclasses.replace(topology, render=render))
     assert main(_analysis_argv(patch, command, tmp_path / "x.csv")) == 0
     wav = tmp_path / "x.wav"

@@ -1,9 +1,12 @@
-"""Peak memory of the renders and the WAV encoder, as tracemalloc sees it.
+"""Peak memory of the renders, the WAV encoder and `fmstack render`, as
+tracemalloc sees it.
 
 tracemalloc counts numpy's data buffers, so the peak of a call is its
-output plus the temporaries it holds at once. Each render fills one
-preallocated output, and the encoder one data buffer, a block at a time:
-their temporaries must fit a fixed allowance of a few blocks.
+output plus the temporaries it holds at once. Each render that returns an
+array fills one preallocated output a block at a time: its temporaries must
+fit a fixed allowance of a few blocks. The encoder, and `render`, which
+hands each block from the engine to the encoder, hold a few blocks at any
+duration.
 """
 
 import logging
@@ -12,6 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fmstack.cli import main
 from fmstack.io_formats import WavSpec, write_wav
 from fmstack.operators import DEFAULT_BLOCK_SIZE, render_feedback_fm, render_naive_stack, render_stack
 from fmstack.pm import render_feedback_pm, render_pm_chain
@@ -59,11 +63,37 @@ def test_stack_renders_hold_one_float64_output(render, n):
     assert _peak_bytes(lambda: render(n)) <= 8 * n + STACK_ALLOWANCE
 
 
+# at two durations, so that a buffer growing with the length fails
+@pytest.mark.parametrize("n", [N, 3 * N], ids=["1s", "3s"])
 @pytest.mark.parametrize("bits", [16, 32])
-def test_wav_encoder_holds_one_data_buffer(bits, tmp_path, caplog):
+def test_wav_encoder_holds_a_few_blocks(bits, n, tmp_path, caplog):
     # a third of the samples clip, in every block, so the clip path is measured too
-    samples = 1.2 * np.sin(np.arange(N) * 0.01)
+    samples = 1.2 * np.sin(np.arange(n) * 0.01)
     with caplog.at_level(logging.WARNING):
         peak = _peak_bytes(lambda: write_wav(tmp_path / "a.wav", samples, WavSpec(int(FS), bits)))
-    assert peak <= bits // 8 * N + ALLOWANCE
+    assert peak <= ALLOWANCE
     assert "clipped" in caplog.text
+
+
+_PATCHES = {
+    "fm-stack": ["--op", "0.5:300", "--op", "0.8:700", "--op", "1:500"],
+    "fm-stack-naive": ["--op", "0.5:300", "--op", "0.8:700", "--op", "1:500"],
+    "pm-stack": ["--op", "0.5:300", "--op", "0.8:700", "--op", "1:200", "--op", "1:500"],
+    "pm1": ["--op", "2:300", "--op", "1:500"],
+    "pm2": ["--op", "0.5:300", "--op", "0.8:700", "--op", "1:500"],
+    "fm-feedback": ["--op", "1:500", "--feedback-gain", "0.5"],
+    "pm-feedback": ["--op", "1:500", "--feedback-gain", "1"],
+}
+# a stack's block temporaries, the engine's output block and the encoder's
+# two block buffers, at any duration
+RENDER_ALLOWANCE = STACK_ALLOWANCE + ALLOWANCE
+
+
+@pytest.mark.parametrize("bits", ["16", "32"])
+@pytest.mark.parametrize("seconds", ["1", "3"])
+@pytest.mark.parametrize("topology", _PATCHES)
+def test_render_command_holds_a_few_blocks(topology, seconds, bits, tmp_path, capsys):
+    argv = ["render", "--topology", topology, *_PATCHES[topology], "--sr", str(int(FS)), "--dur", seconds,
+            "--bits", bits, "--out", str(tmp_path / "x.wav")]
+    assert _peak_bytes(lambda: main(argv)) <= RENDER_ALLOWANCE
+    assert (tmp_path / "x.wav").stat().st_size == 44 + int(bits) // 8 * int(seconds) * N
