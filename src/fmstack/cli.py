@@ -4,8 +4,9 @@ Exit codes: 0 success / within tolerance, 1 tolerance exceeded, 2 usage
 error, 3 runtime or instability error. A failing run leaves no output file
 and leaves an existing one as it was: `render` streams its WAV into a
 temporary file beside --out and atomically replaces --out with it once the
-whole render has succeeded; the spectrum CSV is written only after the
-computation finished.
+whole render has succeeded (an --out that exists and is not a regular file,
+such as a FIFO, is written straight into); the spectrum CSV is written only
+after the computation finished.
 """
 
 import argparse

@@ -92,9 +92,9 @@ def _format_chunk(cells: np.ndarray) -> bytes:
     The 9-digit mantissa N and exponent e come from rint(|x| * 10**(8-e)),
     e = floor(log10|x|), moved by one where N leaves [1e8, 1e9). The scale
     is correctly rounded, so the scaled value is off by at most about
-    2.3e-7 of a unit. Where its fraction lies within 1e-6 of .5, where N is
-    still out of range, and for 0 < |x| < 1e-290, Python's `%.8e` gives N
-    and e exactly.
+    2.3e-7 of a unit. Where its fraction lies within 1e-6 of .5, before or
+    after that move, where N is still out of range, and for 0 < |x| <
+    1e-290, Python's `%.8e` gives N and e exactly.
     """
     ax = np.abs(cells)
     tiny = ax < 1e-290
@@ -107,13 +107,16 @@ def _format_chunk(cells: np.ndarray) -> bytes:
     n = np.rint(scaled)
     off = np.flatnonzero((n < 1e8) | (n >= 1e9))
     if len(off):
+        # a first rint of 999999999.5 or so decides by its own residual
+        # whether N rounds up to 1e9, however the second one lands
+        near_tie = np.abs(scaled[off] - n[off]) > 0.5 - 1e-6
         e[off] += np.where(n[off] >= 1e9, 1, -1)
         scaled[off] = ax[off] * _SCALE[e[off]]
         n[off] = np.rint(scaled[off])
     residual = np.subtract(scaled, n, out=scaled)
     exact = np.abs(residual, out=residual) > 0.5 - 1e-6
     if len(off):
-        exact[off] |= (n[off] < 1e8) | (n[off] >= 1e9)
+        exact[off] |= near_tie | (n[off] < 1e8) | (n[off] >= 1e9)
     if tiny.any():
         exact[tiny] = cells[tiny] != 0.0
         n[tiny] = 0.0

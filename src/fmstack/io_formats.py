@@ -8,6 +8,7 @@ import contextlib
 import itertools
 import logging
 import os
+import stat
 import struct
 from dataclasses import dataclass
 
@@ -65,7 +66,9 @@ def wav_sink(path, n_samples: int, spec: WavSpec):
     The header and each encoded block go to a temporary file beside path,
     which replaces path only when the context ends without an exception,
     after n_samples finite samples. On any other outcome it is removed and
-    path is left as it was.
+    path is left as it was. A path that exists and is not a regular file,
+    such as a FIFO or a device, is written straight into instead, with no
+    temporary file and no replace.
     """
     bytes_per_sample = spec.bit_depth // 8
     if 36 + n_samples * bytes_per_sample > 0xFFFFFFFF:
@@ -106,7 +109,14 @@ def wav_sink(path, n_samples: int, spec: WavSpec):
         spec.bit_depth,
     )
     header += b"data" + struct.pack("<I", data_bytes)
-    tmp, fd = _create_beside(path)
+    try:
+        special = not stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        special = False
+    if special:  # replacing a FIFO or a device would put a regular file in its place
+        tmp, fd = None, os.open(path, os.O_WRONLY | getattr(os, "O_BINARY", 0))
+    else:
+        tmp, fd = _create_beside(path)
     try:
         with open(fd, "wb") as fh:
             fh.write(header)
@@ -117,9 +127,11 @@ def wav_sink(path, n_samples: int, spec: WavSpec):
             raise ValueError(f"write_wav: got {seen} samples for a header of {n_samples}")
         if clipped:
             log.warning("write_wav: clipped %d of %d samples to [-1, 1]", clipped, seen)
-        os.replace(tmp, path)
+        if tmp is not None:
+            os.replace(tmp, path)
     except BaseException:
-        os.unlink(tmp)
+        if tmp is not None:
+            os.unlink(tmp)
         raise
 
 

@@ -81,7 +81,10 @@ class Operator:
         n_samples: int | None = None,
         naive: bool = False,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Block form: fm is the modulation input (None for a top-of-stack operator)."""
+        """Block form: fm is the modulation input (None for a top-of-stack operator).
+
+        n_samples is required without fm; given with fm, it must equal len(fm).
+        """
         sr = self.sample_rate
         if fm is None:
             if n_samples is None:
@@ -91,6 +94,8 @@ class Operator:
             f = np.full(n_samples, float(freq_hz))  # modulated by 0 Hz
         else:
             f = freq_hz + np.asarray(fm, dtype=np.float64)
+            if n_samples is not None and n_samples != len(f):
+                raise ValueError(f"n_samples={n_samples} disagrees with the {len(f)} samples of fm")
         # min and max are NaN if any sample is
         if len(f) and not (-sr < f.min() and f.max() < sr):
             raise ValueError(f"instantaneous frequency aliases at fs={sr}")

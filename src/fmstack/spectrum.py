@@ -120,20 +120,23 @@ def _component_weights(zeta: float, n_max: int) -> np.ndarray:
 
 
 class _Buffers:
-    """Work arrays of one `predict_stack` call, grown geometrically and reused.
+    """Work arrays of one `predict_stack` call, reused from merge to merge.
 
     Reuse keeps each merge from freeing its full-size temporaries and
-    faulting fresh pages back in at the next one.
+    faulting fresh pages back in at the next one. An array grows to exactly
+    the size asked for, and the smaller one is freed before the larger one
+    is allocated.
     """
 
     def __init__(self):
         self._arrays = {}
 
     def get(self, name: str, size: int, dtype=np.float64) -> np.ndarray:
-        buf = self._arrays.get(name)
+        buf = self._arrays.pop(name, None)
         if buf is None or len(buf) < size:
-            buf = np.empty(size if buf is None else max(size, 2 * len(buf)), dtype)
-            self._arrays[name] = buf
+            del buf  # the smaller array is freed before the larger one is allocated
+            buf = np.empty(size, dtype)
+        self._arrays[name] = buf
         return buf[:size]
 
 
@@ -165,25 +168,31 @@ def _merge_convolution(freqs, amps, orders, weights, nu, floor, buf: _Buffers):
     order = np.argsort(cand_f, kind="stable")
     # mode="clip" writes straight into `out`; "raise" would buffer a copy
     sorted_f = np.take(cand_f, order, out=buf.get("sorted_f", m), mode="clip")
-    tie = np.equal(sorted_f[1:], sorted_f[:-1], out=buf.get("tie", m - 1, np.bool_))
     broken = math.isnan(sorted_f[-1])  # NaNs sort last
-    if not broken and tie.any():
-        rows = np.remainder(order, n, out=buf.get("rows", m, order.dtype))
-        falls = np.less_equal if descending else np.less
-        bad = falls(rows[1:], rows[:-1], out=buf.get("bad", m - 1, np.bool_))
-        broken = bool(np.logical_and(bad, tie, out=bad).any())
+    if not broken:
+        # cand_f is free once gathered: it holds the sorted amplitudes
+        sorted_a = np.take(cand_a, order, out=cand_f, mode="clip")
+        # one flag per sorted candidate: first an exact tie with the one
+        # before it, then the start of a new line
+        flags = buf.get("flags", m, np.bool_)
+        tie = np.equal(sorted_f[1:], sorted_f[:-1], out=flags[1:])
+        if tie.any():
+            rows = np.remainder(order, n, out=order)
+            falls = np.less_equal if descending else np.less
+            bad = falls(rows[1:], rows[:-1], out=buf.get("bad", m - 1, np.bool_))
+            broken = bool(np.logical_and(bad, tie, out=bad).any())
+            if broken:  # the frequencies again, in place of the sorted amplitudes
+                np.add((orders * nu)[:, None], freqs[None, :], out=cand_f.reshape(k, n))
     if broken:
         columns = slice(None, None, -1) if descending else slice(None)
         return _merge_signed(
             cand_f.reshape(k, n)[columns].T.ravel(), cand_a.reshape(k, n)[columns].T.ravel(), floor
         )
-    sorted_a = np.take(cand_a, order, out=buf.get("sorted_a", m), mode="clip")
-    new_line = buf.get("new_line", m, np.bool_)
-    new_line[0] = True
-    # cand_f is free once sorted: it holds the gaps
-    gaps = np.subtract(sorted_f[1:], sorted_f[:-1], out=cand_f[: m - 1])
-    np.greater(gaps, MERGE_FREQ_EPS, out=new_line[1:])
-    starts = np.flatnonzero(new_line)
+    # cand_a is free once gathered: it holds the gaps
+    gaps = np.subtract(sorted_f[1:], sorted_f[:-1], out=cand_a[: m - 1])
+    flags[0] = True
+    np.greater(gaps, MERGE_FREQ_EPS, out=flags[1:])
+    starts = np.flatnonzero(flags)
     merged = np.add.reduceat(sorted_a, starts)
     keep = np.abs(merged) >= floor
     return sorted_f[starts[keep]], merged[keep]

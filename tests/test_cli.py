@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import stat
+import threading
 
 import numpy as np
 import pytest
@@ -244,6 +247,27 @@ def test_failing_render_leaves_the_directory_as_it_was(flags, renderer, tmp_path
     before = _tree(tmp_path)
     assert main(["render", *flags, "--sr", "48000", "--dur", "0.5", "--out", str(out)]) == 3
     assert _tree(tmp_path) == before  # no temporary file, the old output untouched
+
+
+def test_render_streams_into_an_existing_fifo(tmp_path):
+    fifo, regular = tmp_path / "out.fifo", tmp_path / "out.wav"
+    os.mkfifo(fifo)
+    received = []
+
+    def read():
+        with open(fifo, "rb") as fh:
+            received.append(fh.read())
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    argv = ["render", "--topology", "fm-stack", "--op", "1:500", "--sr", "8000", "--dur", "0.01", "--bits", "16"]
+    assert main([*argv, "--out", str(fifo)]) == 0
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert stat.S_ISFIFO(fifo.stat().st_mode)  # the node is still there, not replaced
+    assert main([*argv, "--out", str(regular)]) == 0
+    assert received == [regular.read_bytes()]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.fifo", "out.wav"]  # no temporary left
 
 
 def test_patch_json_file(tmp_path):

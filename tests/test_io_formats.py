@@ -200,13 +200,31 @@ def _long_spectra(draw):
     return spec
 
 
+# ties just below a power of ten, whose scaled mantissa first rounds up to 1e9
+_DECADE_TIES = [0.9999999995, 9.999999995, 999.9999995, 99999.99995, 9.999999995e-287]
+
+
+def _with_values(values, rows=200):
+    amps = np.ones(rows)
+    amps[: len(values)] = values
+    return LineSpectrum(np.arange(rows, dtype=np.float64), amps)
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(spec=_long_spectra())
+@example(spec=_with_values(_DECADE_TIES + [-v for v in _DECADE_TIES]))
+@example(spec=MeasuredSpectrum(np.array(_DECADE_TIES * 40), np.array(_DECADE_TIES[::-1] * 40)))
 def test_long_csv_matches_row_writer_oracle(spec, tmp_path):
     new, old = tmp_path / "new.csv", tmp_path / "old.csv"
     write_spectrum_csv(new, spec)
     write_spectrum_csv_rows(old, spec)
     assert new.read_bytes() == old.read_bytes()
+
+
+@pytest.mark.parametrize("value", _DECADE_TIES)
+def test_decade_boundary_ties_keep_nine_digits(value, tmp_path):
+    write_spectrum_csv(tmp_path / "a.csv", _with_values([value]))
+    assert (tmp_path / "a.csv").read_bytes().splitlines()[1] == b"0,%.9g" % value
 
 
 def test_long_finite_spectra_take_the_numpy_formatter(tmp_path, monkeypatch):

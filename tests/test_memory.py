@@ -1,12 +1,13 @@
-"""Peak memory of the renders, the WAV encoder and `fmstack render`, as
-tracemalloc sees it.
+"""Peak memory of the renders, the WAV encoder, `fmstack render` and the
+predictor, as tracemalloc sees it.
 
 tracemalloc counts numpy's data buffers, so the peak of a call is its
 output plus the temporaries it holds at once. Each render that returns an
 array fills one preallocated output a block at a time: its temporaries must
 fit a fixed allowance of a few blocks. The encoder, and `render`, which
 hands each block from the engine to the encoder, hold a few blocks at any
-duration.
+duration. The predictor's peak is set by its largest merge, which holds a
+few arrays per candidate.
 """
 
 import logging
@@ -15,10 +16,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fmstack import spectrum
 from fmstack.cli import main
 from fmstack.io_formats import WavSpec, write_wav
 from fmstack.operators import DEFAULT_BLOCK_SIZE, render_feedback_fm, render_naive_stack, render_stack
 from fmstack.pm import render_feedback_pm, render_pm_chain
+from fmstack.spectrum import predict_stack
 
 FS = 96000.0
 N = 96000  # one second, almost twelve blocks
@@ -97,3 +100,23 @@ def test_render_command_holds_a_few_blocks(topology, seconds, bits, tmp_path, ca
             "--bits", bits, "--out", str(tmp_path / "x.wav")]
     assert _peak_bytes(lambda: main(argv)) <= RENDER_ALLOWANCE
     assert (tmp_path / "x.wav").stat().st_size == 44 + int(bits) // 8 * int(seconds) * N
+
+
+# four float64 arrays and two boolean ones per candidate, and the merged lines
+MERGE_BYTES_PER_CANDIDATE = 48
+PREDICT_ALLOWANCE = 128 * 1024  # the level's lines, Bessel rows, the folded output
+
+
+def test_predictor_holds_a_few_arrays_per_merge_candidate(monkeypatch):
+    candidates = []
+    merge = spectrum._merge_convolution
+
+    def spy(freqs, amps, orders, *args):
+        candidates.append(len(freqs) * len(orders))
+        return merge(freqs, amps, orders, *args)
+
+    monkeypatch.setattr(spectrum, "_merge_convolution", spy)
+    params = [(8, 211.223), (4, 404.331), (0.6, 1855.69)]
+    peak = _peak_bytes(lambda: predict_stack(params))
+    assert len(predict_stack(params).freqs) == 2709
+    assert peak <= MERGE_BYTES_PER_CANDIDATE * max(candidates) + PREDICT_ALLOWANCE

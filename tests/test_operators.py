@@ -177,6 +177,13 @@ def test_renders_reject_negative_sample_count():
         Operator(FS).process(1.0, 500.0, n_samples=-1)
 
 
+def test_process_rejects_a_sample_count_that_disagrees_with_fm():
+    with pytest.raises(ValueError, match="n_samples=5 disagrees with the 10 samples of fm"):
+        Operator(FS).process(1.0, 500.0, fm=np.zeros(10), n_samples=5)
+    audio, _ = Operator(FS).process(1.0, 500.0, fm=np.zeros(10), n_samples=10)
+    assert len(audio) == 10
+
+
 @pytest.mark.parametrize("sr", [0.0, -48000.0, np.inf, np.nan])
 def test_operator_rejects_bad_sample_rate(sr):
     with pytest.raises(ValueError, match="sample rate must be finite and positive"):
@@ -275,6 +282,13 @@ def test_process_matches_pre_rewrite_oracle_bitwise(sr, phase, amp, freq, fm, n,
     new, old = Operator(sr), Operator(sr)
     new.acc.phase = old.acc.phase = phase
     fm = None if fm is None else np.array(fm, dtype=np.float64)
+    if fm is not None and n != len(fm):
+        # a count that disagrees with fm raises before the phase moves; the
+        # oracle ignores the count, so compare at the one fm implies
+        with pytest.raises(ValueError, match="disagrees with the"):
+            new.process(amp, freq, fm=fm, n_samples=n, naive=naive)
+        assert new.acc.phase == phase
+        n = len(fm)
     got = _outcome(new.process, amp, freq, fm=fm, n_samples=n, naive=naive)
     want = _outcome(operator_process, old, amp, freq, fm=fm, n_samples=n, naive=naive)
     if isinstance(want[0], type):
