@@ -2,17 +2,19 @@
 
 Exit codes: 0 success / within tolerance, 1 tolerance exceeded, 2 usage
 error, 3 runtime or instability error. A failing run leaves no output file
-and leaves an existing one as it was: `render` streams its WAV into a
-temporary file beside --out and atomically replaces --out with it once the
-whole render has succeeded (an --out that exists and is not a regular file,
-such as a FIFO, is written straight into); the spectrum CSV is written only
-after the computation finished.
+and leaves an existing one as it was: `render` and `spectrum` write their
+WAV or CSV into a temporary file beside --out and atomically replace --out
+with it (a symlink's target) once the whole file is written. An --out that
+exists and is not a regular file, such as a FIFO or /dev/stdout on a pipe,
+is written straight into instead, and the summary line goes to standard
+error, so the stream holds only the file's bytes.
 """
 
 import argparse
 import functools
 import json
 import math
+import os
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -240,6 +242,11 @@ def _patch_from_args(args, suffix="") -> PatchSpec:
     )
 
 
+def _summary(out: str, what: str) -> None:
+    # an --out that is not a regular file may be the stream stdout goes to
+    print(f"wrote {out}: {what}", file=sys.stdout if os.path.isfile(out) else sys.stderr)
+
+
 def cmd_render(args) -> int:
     patch = _patch_from_args(args)
     if not patch.sample_rate.is_integer():  # the WAV header holds whole Hz only
@@ -252,7 +259,7 @@ def cmd_render(args) -> int:
     # blocks at any duration
     with wav_sink(args.out, patch.n_samples, spec) as sink:
         TOPOLOGIES[patch.topology].render(patch, patch.n_samples, sink)
-    print(f"wrote {args.out}: {patch.n_samples} samples at {patch.sample_rate:g} Hz")
+    _summary(args.out, f"{patch.n_samples} samples at {patch.sample_rate:g} Hz")
     return 0
 
 
@@ -272,8 +279,7 @@ def cmd_spectrum(args) -> int:
             grid, window = patch.sample_rate / spp, "hann"
         spec = _measure(patch, grid, window)
     write_spectrum_csv(args.out, spec)
-    n = len(spec.freqs)
-    print(f"wrote {args.out}: {n} rows ({args.mode})")
+    _summary(args.out, f"{len(spec.freqs)} rows ({args.mode})")
     return 0
 
 

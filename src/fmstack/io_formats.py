@@ -53,6 +53,33 @@ def _create_beside(path) -> tuple[str, int]:
 
 
 @contextlib.contextmanager
+def _replacing(path):
+    """Yield a binary file on a temporary file beside path, which replaces
+    path if the context ends without an exception and is removed otherwise;
+    a symlink is followed, so it is its target that is replaced. A path that
+    exists and is not a regular file, such as a FIFO or a device, is written
+    straight into: replacing it would put a file in its place."""
+    try:
+        special = not stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        special = False
+    if special:
+        with open(os.open(path, os.O_WRONLY | getattr(os, "O_BINARY", 0)), "wb") as fh:
+            yield fh
+        return
+    if os.path.islink(path):  # realpath costs an lstat per path component
+        path = os.path.realpath(path)
+    tmp, fd = _create_beside(path)
+    try:
+        with open(fd, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+@contextlib.contextmanager
 def wav_sink(path, n_samples: int, spec: WavSpec):
     """Write a RIFF/WAVE file of n_samples samples handed over a block at a time.
 
@@ -63,12 +90,9 @@ def wav_sink(path, n_samples: int, spec: WavSpec):
     the context ends. The 16-bit path rounds to nearest with +1.0 stored as
     32767; the float path is lossless. A block is read only during the call.
 
-    The header and each encoded block go to a temporary file beside path,
-    which replaces path only when the context ends without an exception,
-    after n_samples finite samples. On any other outcome it is removed and
-    path is left as it was. A path that exists and is not a regular file,
-    such as a FIFO or a device, is written straight into instead, with no
-    temporary file and no replace.
+    The header and each encoded block are written through _replacing, so
+    they replace path only when the context ends without an exception, after
+    n_samples finite samples; on any other outcome path is left as it was.
     """
     bytes_per_sample = spec.bit_depth // 8
     if 36 + n_samples * bytes_per_sample > 0xFFFFFFFF:
@@ -109,30 +133,15 @@ def wav_sink(path, n_samples: int, spec: WavSpec):
         spec.bit_depth,
     )
     header += b"data" + struct.pack("<I", data_bytes)
-    try:
-        special = not stat.S_ISREG(os.stat(path).st_mode)
-    except FileNotFoundError:
-        special = False
-    if special:  # replacing a FIFO or a device would put a regular file in its place
-        tmp, fd = None, os.open(path, os.O_WRONLY | getattr(os, "O_BINARY", 0))
-    else:
-        tmp, fd = _create_beside(path)
-    try:
-        with open(fd, "wb") as fh:
-            fh.write(header)
-            yield encode
+    with _replacing(path) as fh:
+        fh.write(header)
+        yield encode
         if bad:
             raise ValueError(f"write_wav: {bad} of {seen} samples are NaN or infinite")
         if seen != n_samples:
             raise ValueError(f"write_wav: got {seen} samples for a header of {n_samples}")
-        if clipped:
-            log.warning("write_wav: clipped %d of %d samples to [-1, 1]", clipped, seen)
-        if tmp is not None:
-            os.replace(tmp, path)
-    except BaseException:
-        if tmp is not None:
-            os.unlink(tmp)
-        raise
+    if clipped:
+        log.warning("write_wav: clipped %d of %d samples to [-1, 1]", clipped, seen)
 
 
 def write_wav(path, samples, spec: WavSpec) -> None:
@@ -156,7 +165,8 @@ def write_spectrum_csv(path, spec: LineSpectrum | MeasuredSpectrum) -> None:
     equal those of one `%.9g` per value. Spectra of at least
     _CSV_VECTOR_MIN_ROWS rows, all finite, are formatted by numpy (see
     `csv_format.format_cells`); shorter spectra and any spectrum with a NaN
-    or infinity take one Python `%` over all cells.
+    or infinity take one Python `%` over all cells. The file is written
+    through _replacing, so a failing write leaves path as it was.
     """
     if isinstance(spec, LineSpectrum):
         values = spec.amps
@@ -172,6 +182,6 @@ def write_spectrum_csv(path, spec: LineSpectrum | MeasuredSpectrum) -> None:
     else:
         # Python floats format exactly like the numpy scalars they come from
         body = (("%.9g,%.9g\n" * len(values)) % tuple(cells.tolist())).encode()
-    with open(path, "wb") as fh:
+    with _replacing(path) as fh:
         fh.write(b"freq_hz,amplitude\n")
         fh.write(body)

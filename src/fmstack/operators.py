@@ -74,28 +74,15 @@ class Operator:
         return s, s * (freq_hz if naive else f)
 
     def process(
-        self,
-        amp: float,
-        freq_hz: float,
-        fm: np.ndarray | None = None,
-        n_samples: int | None = None,
-        naive: bool = False,
+        self, amp: float, freq_hz: float, fm: np.ndarray, naive: bool = False
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Block form: fm is the modulation input (None for a top-of-stack operator).
+        """Block form: fm is the modulation input, one value per sample.
 
-        n_samples is required without fm; given with fm, it must equal len(fm).
+        A top-of-stack operator takes fm = -0.0 at every sample: freq_hz +
+        -0.0 has the bits of freq_hz, where +0.0 would turn -0.0 into +0.0.
         """
         sr = self.sample_rate
-        if fm is None:
-            if n_samples is None:
-                raise ValueError("need n_samples when no modulation input is given")
-            if n_samples < 0:
-                raise ValueError("sample count must be >= 0")
-            f = np.full(n_samples, float(freq_hz))  # modulated by 0 Hz
-        else:
-            f = freq_hz + np.asarray(fm, dtype=np.float64)
-            if n_samples is not None and n_samples != len(f):
-                raise ValueError(f"n_samples={n_samples} disagrees with the {len(f)} samples of fm")
+        f = freq_hz + np.asarray(fm, dtype=np.float64)
         # min and max are NaN if any sample is
         if len(f) and not (-sr < f.min() and f.max() < sr):
             raise ValueError(f"instantaneous frequency aliases at fs={sr}")
@@ -109,16 +96,16 @@ class Operator:
 
 
 def _render(params, n_samples, sample_rate, naive, sink) -> np.ndarray | None:
-    if not params:
-        raise ValueError("stack needs at least one operator")
     check_render_args([v for op in params for v in op], n_samples, sample_rate)
     ops = [Operator(sample_rate) for _ in params]
     out, blocks = output_blocks(n_samples, sink)
+    # the top operator's input, made once: np.broadcast_to costs a block's addition
+    unmodulated = np.broadcast_to(-0.0, DEFAULT_BLOCK_SIZE)
     # the bottom operator's modulation output feeds nothing and is dropped
     for _, block in blocks:
-        mod = None
+        mod = unmodulated[: len(block)]
         for (amp, freq_hz), op in zip(params, ops):
-            audio, mod = op.process(amp, freq_hz, fm=mod, n_samples=len(block), naive=naive)
+            audio, mod = op.process(amp, freq_hz, mod, naive)
         block[:] = audio
     return out
 

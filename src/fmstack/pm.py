@@ -39,8 +39,6 @@ def render_pm_chain(
     a non-positive sample rate, an empty stack and a negative sample count
     raise ValueError.
     """
-    if not params:
-        raise ValueError("stack needs at least one operator")
     check_render_args([v for op in params for v in op], n_samples, sample_rate)
     *mods, (amp, fc) = params
     if any(z < 0 for z, _ in mods):

@@ -31,9 +31,11 @@ def _check_sample_rate(sample_rate: float) -> None:
 
 
 def check_render_args(values, n_samples: int, sample_rate: float) -> None:
-    """The argument checks every renderer shares: each of `values` (the
-    operator values, and a feedback gain) finite, the sample rate finite and
-    positive, the sample count >= 0. Raises ValueError otherwise."""
+    """The argument checks every renderer shares: `values` (the operator
+    values, and a feedback gain) not empty and each finite, the sample rate
+    finite and positive, the sample count >= 0. Raises ValueError otherwise."""
+    if not values:
+        raise ValueError("stack needs at least one operator")
     if not all(math.isfinite(v) for v in values):
         raise ValueError("render parameters must be finite")
     _check_sample_rate(sample_rate)

@@ -1,7 +1,11 @@
+import contextlib
 import dataclasses
 import json
 import os
+import signal
 import stat
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -9,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fmstack
 from fmstack.cli import TOPOLOGIES, PatchSpec, Topology, UsageError, main, render_patch
 from fmstack.io_formats import WavSpec, write_wav
 from fmstack.operators import DEFAULT_BLOCK_SIZE, InstabilityError
@@ -234,7 +239,8 @@ def _tree(root):
     (["--topology", "pm-feedback", "--op", "1:500"], _render_nan),
     (["--topology", "pm-feedback", "--op", "1:500"], _diverge_after_two_blocks),
     (["--topology", "fm-stack", *FIG3_OPS], "directory"),
-], ids=["instability", "nan", "diverges_after_two_blocks", "out_is_a_directory"])
+    (["--topology", "fm-stack", "--op", "100:500", "--op", "1:1000"], None),  # 51 kHz at sample 0
+], ids=["instability", "nan", "diverges_after_two_blocks", "out_is_a_directory", "stack_aliases"])
 def test_failing_render_leaves_the_directory_as_it_was(flags, renderer, tmp_path, monkeypatch):
     out = tmp_path / "out.wav"
     if renderer == "directory":
@@ -249,25 +255,95 @@ def test_failing_render_leaves_the_directory_as_it_was(flags, renderer, tmp_path
     assert _tree(tmp_path) == before  # no temporary file, the old output untouched
 
 
-def test_render_streams_into_an_existing_fifo(tmp_path):
-    fifo, regular = tmp_path / "out.fifo", tmp_path / "out.wav"
-    os.mkfifo(fifo)
+def _run_into_fifo_on_stdout(fifo, argv) -> tuple[int, list[bytes]]:
+    """main(argv + --out fifo) with standard output going into the FIFO too,
+    as for `--out /dev/stdout` piped into a reader; returns the exit code and
+    the bytes the FIFO received."""
     received = []
-
-    def read():
-        with open(fifo, "rb") as fh:
-            received.append(fh.read())
-
-    reader = threading.Thread(target=read, daemon=True)
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
     reader.start()
-    argv = ["render", "--topology", "fm-stack", "--op", "1:500", "--sr", "8000", "--dur", "0.01", "--bits", "16"]
-    assert main([*argv, "--out", str(fifo)]) == 0
+    with open(fifo, "w") as stdout, contextlib.redirect_stdout(stdout):
+        code = main([*argv, "--out", str(fifo)])
     reader.join(timeout=10)
     assert not reader.is_alive()
+    return code, received
+
+
+def test_render_streams_into_an_existing_fifo(tmp_path, capsys):
+    fifo, regular = tmp_path / "out.fifo", tmp_path / "out.wav"
+    os.mkfifo(fifo)
+    argv = ["render", "--topology", "fm-stack", "--op", "1:500", "--sr", "8000", "--dur", "0.01", "--bits", "16"]
+    code, received = _run_into_fifo_on_stdout(fifo, argv)
+    assert code == 0
+    assert capsys.readouterr().err == f"wrote {fifo}: 80 samples at 8000 Hz\n"
     assert stat.S_ISFIFO(fifo.stat().st_mode)  # the node is still there, not replaced
     assert main([*argv, "--out", str(regular)]) == 0
-    assert received == [regular.read_bytes()]
+    assert capsys.readouterr().out == f"wrote {regular}: 80 samples at 8000 Hz\n"
+    assert received == [regular.read_bytes()]  # the WAV and nothing else
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.fifo", "out.wav"]  # no temporary left
+
+
+def test_spectrum_streams_into_an_existing_fifo(tmp_path, capfd):
+    fifo, regular = tmp_path / "out.fifo", tmp_path / "out.csv"
+    os.mkfifo(fifo)
+    argv = ["spectrum", "--mode", "predicted", "--topology", "pm1", "--op", "1:100", "--op", "1:1000"]
+    code, received = _run_into_fifo_on_stdout(fifo, argv)
+    assert code == 0
+    assert capfd.readouterr() == ("", f"wrote {fifo}: 19 rows (predicted)\n")
+    assert main([*argv, "--out", str(regular)]) == 0
+    assert capfd.readouterr() == (f"wrote {regular}: 19 rows (predicted)\n", "")
+    assert received == [regular.read_bytes()]  # the CSV and nothing else
+
+
+# a process whose file size limit is 64 bytes, with SIGXFSZ ignored so that
+# a write past it fails with EFBIG instead of killing the process
+_FILE_SIZE_LIMITED_MAIN = """import resource, signal, sys
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (64, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+from fmstack.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+# a CSV and a WAV of a few hundred bytes each
+_WRITERS = pytest.mark.parametrize("argv", [
+    ["spectrum", "--mode", "predicted", "--topology", "pm1", "--op", "1:100", "--op", "1:1000"],
+    ["render", "--topology", "fm-stack", "--op", "1:500", "--sr", "8000", "--dur", "0.01"],
+], ids=["spectrum", "render"])
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="needs POSIX file size limits")
+@_WRITERS
+def test_a_write_past_the_file_size_limit_leaves_the_old_output(argv, tmp_path):
+    out = tmp_path / "out"
+    out.write_bytes(b"an earlier output\n" * 40)
+    before = _tree(tmp_path)
+    src = os.path.dirname(os.path.dirname(fmstack.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _FILE_SIZE_LIMITED_MAIN, *argv, "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3
+    assert "File too large" in proc.stderr
+    assert _tree(tmp_path) == before  # no temporary file, the old output untouched
+
+
+@_WRITERS
+def test_a_symlinked_out_stays_a_link_to_the_new_output(argv, tmp_path):
+    target, link, plain = tmp_path / "target", tmp_path / "link", tmp_path / "plain"
+    target.write_bytes(b"an earlier output")
+    link.symlink_to("target")
+    assert main([*argv, "--out", str(link)]) == 0
+    assert main([*argv, "--out", str(plain)]) == 0
+    assert os.readlink(link) == "target"
+    assert target.read_bytes() == plain.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "plain", "target"]
+
+
+def test_aliasing_stack_compare_exits_3(capsys):
+    # the top operator's 100 * 500 Hz modulation output puts the carrier at 51 kHz
+    assert main(["compare", "--topology-a", "fm-stack", "--topology-b", "pm-stack", "--op", "100:500",
+                 "--op", "1:1000", "--sr", "8000", "--dur", "0.1"]) == 3
+    assert capsys.readouterr() == ("", "error: instantaneous frequency aliases at fs=8000.0\n")
 
 
 def test_patch_json_file(tmp_path):
