@@ -9,7 +9,7 @@ from .analysis import (
     measure_dc,
     measure_spectrum,
 )
-from .bessel import bessel_j, bessel_row
+from .bessel import bessel_row
 from .io_formats import WavSpec, write_spectrum_csv, write_wav
 from .operators import (
     InstabilityError,
@@ -26,7 +26,7 @@ from .spectrum import (
     merge_and_fold,
     predict_stack,
 )
-from .wavetable import COSINE_TABLE, PHASE_BITS, PHASE_MODULUS, PhaseAccumulator, freq_to_increment
+from .wavetable import COSINE_TABLE, PHASE_BITS, PHASE_MODULUS, PhaseAccumulator
 
 __version__ = "0.1.0"
 
@@ -43,11 +43,9 @@ __all__ = [
     "PhaseAccumulator",
     "TruncationPolicy",
     "WavSpec",
-    "bessel_j",
     "bessel_row",
     "detect_carrier_drift",
     "fit_spectral_slope",
-    "freq_to_increment",
     "measure_dc",
     "measure_spectrum",
     "merge_and_fold",

@@ -43,19 +43,6 @@ class AnalysisFrame:
         if len(self.samples) // spp < MIN_PERIODS:
             raise ValueError(f"frame must hold at least {MIN_PERIODS} periods")
 
-    @classmethod
-    def from_signal(cls, samples, sample_rate, fundamental_hz, periods=None):
-        """Trim samples to the first `periods` whole periods (all of them by default)."""
-        samples = np.asarray(samples, dtype=np.float64)
-        spp = samples_per_period(sample_rate, fundamental_hz)
-        if spp:  # otherwise the constructor rejects the grid
-            samples = samples[: spp * (len(samples) // spp if periods is None else periods)]
-        return cls(samples, sample_rate, fundamental_hz)
-
-    @property
-    def periods(self) -> int:
-        return len(self.samples) // samples_per_period(self.sample_rate, self.fundamental_hz)
-
 
 @dataclass
 class MeasuredSpectrum:

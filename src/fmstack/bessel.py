@@ -28,7 +28,7 @@ def bessel_row(max_order: int, z: float) -> np.ndarray:
     if not math.isfinite(z):
         raise ValueError(f"z must be finite, got {z}")
     if z < 0:
-        raise ValueError("z must be >= 0 (use bessel_j for signed arguments)")
+        raise ValueError(f"z must be >= 0, got {z}")
     row = np.zeros(max_order + 1)
     if z == 0.0:
         row[0] = 1.0
@@ -58,15 +58,3 @@ def bessel_row(max_order: int, z: float) -> np.ndarray:
     row[0] = j_k
     row /= j_k + 2.0 * even_sum
     return row
-
-
-def bessel_j(n: int, z: float) -> float:
-    """J_n(z) for any integer n and real z, via parity for negative arguments."""
-    order = abs(n)
-    sign = 1.0
-    if order % 2 == 1:
-        if n < 0:
-            sign = -sign  # J_{-n} = (-1)^n J_n
-        if z < 0:
-            sign = -sign  # J_n(-z) = (-1)^n J_n(z)
-    return sign * float(bessel_row(order, abs(z))[order])

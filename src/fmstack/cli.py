@@ -4,10 +4,12 @@ Exit codes: 0 success / within tolerance, 1 tolerance exceeded, 2 usage
 error, 3 runtime or instability error. A failing run leaves no output file
 and leaves an existing one as it was: `render` and `spectrum` write their
 WAV or CSV into a temporary file beside --out and atomically replace --out
-with it (a symlink's target) once the whole file is written. An --out that
-exists and is not a regular file, such as a FIFO or /dev/stdout on a pipe,
-is written straight into instead, and the summary line goes to standard
-error, so the stream holds only the file's bytes.
+with it (a symlink's target) once the whole file is written. A replaced
+--out keeps its mode; no replace can keep hard links, so any other name of
+the old file keeps the old contents. An --out that exists and is not a
+regular file, such as a FIFO or /dev/stdout on a pipe, is written straight
+into instead, and the summary line goes to standard error, so the stream
+holds only the file's bytes.
 """
 
 import argparse

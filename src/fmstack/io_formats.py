@@ -56,14 +56,16 @@ def _create_beside(path) -> tuple[str, int]:
 def _replacing(path):
     """Yield a binary file on a temporary file beside path, which replaces
     path if the context ends without an exception and is removed otherwise;
-    a symlink is followed, so it is its target that is replaced. A path that
-    exists and is not a regular file, such as a FIFO or a device, is written
-    straight into: replacing it would put a file in its place."""
+    a symlink is followed, so it is its target that is replaced. A replaced
+    file keeps its mode but not its hard links: any other name of it keeps
+    the old contents. A path that exists and is not a regular file, such as
+    a FIFO or a device, is written straight into: replacing it would put a
+    file in its place."""
     try:
-        special = not stat.S_ISREG(os.stat(path).st_mode)
+        old = os.stat(path)
     except FileNotFoundError:
-        special = False
-    if special:
+        old = None
+    if old is not None and not stat.S_ISREG(old.st_mode):
         with open(os.open(path, os.O_WRONLY | getattr(os, "O_BINARY", 0)), "wb") as fh:
             yield fh
         return
@@ -72,6 +74,8 @@ def _replacing(path):
     tmp, fd = _create_beside(path)
     try:
         with open(fd, "wb") as fh:
+            if old is not None:
+                os.fchmod(fd, stat.S_IMODE(old.st_mode))
             yield fh
         os.replace(tmp, path)
     except BaseException:

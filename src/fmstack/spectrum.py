@@ -41,21 +41,6 @@ class LineSpectrum:
         if len(self.freqs) > 1 and np.any(np.diff(self.freqs) <= 0):
             raise ValueError("line frequencies must be strictly increasing")
 
-    def total_power(self) -> float:
-        """Mean-square power: amp^2/2 per line, amp^2 for a DC line."""
-        power = 0.0
-        for f, a in zip(self.freqs, self.amps):
-            power += a * a if f == 0.0 else 0.5 * a * a
-        return power
-
-    def amplitude_at(self, freq_hz: float, tol_hz: float = 1e-6) -> float:
-        """Signed amplitude of the line at freq_hz, or 0.0 if absent."""
-        idx = np.flatnonzero(np.abs(self.freqs - freq_hz) <= tol_hz)
-        return float(self.amps[idx[0]]) if len(idx) else 0.0
-
-    def scaled(self, gain: float) -> "LineSpectrum":
-        return LineSpectrum(self.freqs.copy(), self.amps * gain)
-
 
 @dataclass
 class TruncationPolicy:

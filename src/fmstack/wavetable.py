@@ -43,20 +43,6 @@ def check_render_args(values, n_samples: int, sample_rate: float) -> None:
         raise ValueError("sample count must be >= 0")
 
 
-def freq_to_increment(freq_hz: float, sample_rate: float) -> int:
-    """Per-sample phase increment, truncated toward zero like a C integer cast.
-
-    Negative frequencies give negative increments (phase runs backward);
-    wrapping modulo 2**32 is the caller's concern. A non-finite or
-    non-positive sample rate, and a frequency that is not finite or not
-    below the sample rate in magnitude, raise ValueError.
-    """
-    _check_sample_rate(sample_rate)
-    if not abs(freq_hz) < sample_rate:  # NaN fails the comparison too
-        raise ValueError(f"|frequency| must be finite and below the sample rate {sample_rate}, not {freq_hz} Hz")
-    return int(freq_hz * (PHASE_MODULUS / sample_rate))
-
-
 class PhaseAccumulator:
     """Wrapping 32-bit phase register split into table index and interpolation fraction.
 

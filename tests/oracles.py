@@ -48,6 +48,19 @@ def bessel_series(n: int, z: float, terms: int = 100) -> float:
     return sign * float(total)
 
 
+def line_amplitude(spec: LineSpectrum, freq_hz: float, tol_hz: float = 1e-6) -> float:
+    """Signed amplitude of the first line of spec within tol_hz of freq_hz, or 0.0."""
+    for f, a in zip(spec.freqs.tolist(), spec.amps.tolist()):
+        if abs(f - freq_hz) <= tol_hz:
+            return a
+    return 0.0
+
+
+def line_power(spec: LineSpectrum) -> float:
+    """Mean-square power of a line spectrum: a^2/2 per line, a^2 for a DC line."""
+    return math.fsum(a * a if f == 0.0 else 0.5 * a * a for f, a in zip(spec.freqs.tolist(), spec.amps.tolist()))
+
+
 def naive_dft_mags(samples, sample_rate):
     """O(N^2) DFT magnitudes, normalized so a bin-centered cosine reads 1.0."""
     x = np.asarray(samples, dtype=np.float64)

@@ -58,12 +58,6 @@ def test_frame_validation():
         measure_spectrum(AnalysisFrame(np.zeros(96 * 16), FS, 500.0), window="hamming")
 
 
-def test_from_signal_trims_to_whole_periods():
-    frame = AnalysisFrame.from_signal(np.zeros(96 * 16 + 50), FS, 500.0)
-    assert len(frame.samples) == 96 * 16
-    assert frame.periods == 16
-
-
 def test_parseval_rectangular():
     rng = np.random.default_rng(9)
     n = 96 * 16

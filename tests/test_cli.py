@@ -339,6 +339,23 @@ def test_a_symlinked_out_stays_a_link_to_the_new_output(argv, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "plain", "target"]
 
 
+@_WRITERS
+def test_a_replaced_out_keeps_its_mode(argv, tmp_path, monkeypatch):
+    out, new, ref = tmp_path / "out", tmp_path / "new", tmp_path / "ref"
+    for mode in (0o600, 0o640):  # at least one differs from a new file's mode under any umask
+        out.write_bytes(b"an earlier output")
+        out.chmod(mode)
+        assert main([*argv, "--out", str(out)]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == mode
+    # a new --out gets the mode open() gives a new file, with no extra system call
+    calls = []
+    monkeypatch.setattr(os, "fchmod", lambda *a: calls.append(a))
+    assert main([*argv, "--out", str(new)]) == 0
+    ref.write_bytes(b"")
+    assert stat.S_IMODE(new.stat().st_mode) == stat.S_IMODE(ref.stat().st_mode)
+    assert calls == []
+
+
 def test_aliasing_stack_compare_exits_3(capsys):
     # the top operator's 100 * 500 Hz modulation output puts the carrier at 51 kHz
     assert main(["compare", "--topology-a", "fm-stack", "--topology-b", "pm-stack", "--op", "100:500",

@@ -341,7 +341,7 @@ def test_chunked_render_equals_whole_buffer_bitwise(params, block_and_length, na
 
 def _grid_lines(signal, fs, grid, periods=16):
     """Hann-windowed magnitudes at the grid harmonics, as `compare` measures them."""
-    frame = AnalysisFrame.from_signal(signal, fs, grid, periods)
+    frame = AnalysisFrame(signal[: round(fs / grid) * periods], fs, grid)
     return measure_spectrum(frame, "hann").mags[::periods]
 
 
@@ -378,7 +378,7 @@ def test_commensurate_stack_matches_pm_oracle_within_1db(grid, harmonic, depth, 
 
 # Five operators at 1000 Hz, every index 1.0, read 1.106 dB from PM on the
 # 500 Hz grid (0.91 dB at index 0.98). Trapezoidal phase integration,
-# ROADMAP item 1, is expected to bring it within the bound.
-@pytest.mark.xfail(strict=True, reason="left-sum phase integration; ROADMAP item 1")
+# ROADMAP item 2, is expected to bring it within the bound.
+@pytest.mark.xfail(strict=True, reason="left-sum phase integration; ROADMAP item 2")
 def test_five_operator_stack_at_index_1_matches_pm_oracle_within_1db():
     assert _max_line_diff_db([(1.0, 1000.0)] * 5, 96000.0, 500.0) <= 1.0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.special import jv
 
 import oracles
 from fmstack import spectrum
@@ -16,7 +17,7 @@ from fmstack.spectrum import (
     merge_and_fold,
     predict_stack,
 )
-from oracles import bessel_series, pm_chain
+from oracles import bessel_series, line_amplitude, line_power, pm_chain
 
 
 def test_merge_and_fold_examples():
@@ -61,20 +62,20 @@ def test_first_order_zero_index():
 def test_first_order_line_values():
     spec = predict_stack([(2.0, 500.0), (1.0, 2000.0)])
     # sidebands J_n(2) at 2000 + n*500, negative frequencies folded
-    assert abs(spec.amplitude_at(2000.0) - 0.2239) < 1e-3
-    assert abs(spec.amplitude_at(1000.0) - 0.3528) < 2e-3
+    assert abs(line_amplitude(spec, 2000.0) - 0.2239) < 1e-3
+    assert abs(line_amplitude(spec, 1000.0) - 0.3528) < 2e-3
     expected_1000 = bessel_series(-2, 2.0) + bessel_series(-6, 2.0)
-    assert abs(spec.amplitude_at(1000.0) - expected_1000) < 1e-12
+    assert abs(line_amplitude(spec, 1000.0) - expected_1000) < 1e-12
     expected_500 = bessel_series(-3, 2.0) + bessel_series(-5, 2.0)
-    assert abs(spec.amplitude_at(500.0) - expected_500) < 1e-12
+    assert abs(line_amplitude(spec, 500.0) - expected_500) < 1e-12
 
 
 def test_first_order_dc_fold_matches_rendered_dc():
     spec = predict_stack([(2.0, 500.0), (1.0, 500.0)])
-    assert abs(spec.amplitude_at(0.0) - bessel_series(-1, 2.0)) < 1e-12
+    assert abs(line_amplitude(spec, 0.0) - bessel_series(-1, 2.0)) < 1e-12
     fs = 48000.0
     out = render_pm_chain([(2.0, 500.0), (1.0, 500.0)], 96 * 16, fs)
-    assert abs(spec.amplitude_at(0.0) - out.mean()) < 1e-3
+    assert abs(line_amplitude(spec, 0.0) - out.mean()) < 1e-3
 
 
 def test_first_order_rejects_bad_modulator():
@@ -109,7 +110,7 @@ def test_second_order_matches_pm_oracle():
     floor = max(np.abs(pred.amps).max(), lines.max()) * 1e-3
     checked = 0
     for k, measured in enumerate(lines):
-        predicted = abs(pred.amplitude_at(k * 500.0))
+        predicted = abs(line_amplitude(pred, k * 500.0))
         if max(predicted, measured) < floor:
             continue
         assert abs(20.0 * np.log10(predicted / measured)) < 1.0
@@ -123,17 +124,17 @@ def test_predicted_power_matches_rendered_power_with_folds():
     n = round(fs / 500.0) * 16
     pm = render_pm_chain([(3.0, 500.0), (2.0, 500.0), (1.0, 500.0)], n, fs)
     pred = predict_stack([(3.0, 500.0), (2.0, 500.0), (1.0, 500.0)])
-    assert abs(pred.total_power() - np.mean(pm**2)) < 1e-4
-    assert pred.total_power() < 1.0 + 1e-6
+    assert abs(line_power(pred) - np.mean(pm**2)) < 1e-4
+    assert line_power(pred) < 1.0 + 1e-6
 
 
 def test_power_conservation_without_folds():
     for z in [0.5, 1.0, 2.0, 3.0]:
-        power = predict_stack([(z, 400.0), (1.0, 10000.0)]).total_power()
+        power = line_power(predict_stack([(z, 400.0), (1.0, 10000.0)]))
         assert power < 0.5 + 1e-6
         assert abs(power - 0.5) < 1e-4
     for z0, z1 in [(1.0, 1.0), (2.0, 2.0), (3.0, 2.0), (3.0, 3.0)]:
-        power = predict_stack([(z0, 100.0), (z1, 400.0), (1.0, 20000.0)]).total_power()
+        power = line_power(predict_stack([(z0, 100.0), (z1, 400.0), (1.0, 20000.0)]))
         assert power < 0.5 + 1e-6
         assert abs(power - 0.5) < 1e-4
 
@@ -162,9 +163,23 @@ def test_second_order_rejects_bad_input():
 
 
 def test_scaled_spectrum():
-    spec = predict_stack([(1.0, 500.0), (1.0, 2000.0)]).scaled(0.25)
+    spec = predict_stack([(1.0, 500.0), (0.25, 2000.0)])  # the carrier's amplitude scales every line
     expected = 0.25 * (bessel_series(0, 1.0) + bessel_series(-8, 1.0))  # n=-8 folds onto 2000
-    assert abs(spec.amplitude_at(2000.0) - expected) < 1e-12
+    assert abs(line_amplitude(spec, 2000.0) - expected) < 1e-12
+
+
+@pytest.mark.parametrize("zeta", [0.3, -0.3, 1.7, -1.7, 3.2, -3.2, 16.0, -16.0])
+def test_component_weights_are_bessel_values_of_signed_order_and_argument(zeta):
+    # the parity the predictor runs on: J_-n(z) = (-1)^n J_n(z) = J_n(-z)
+    n_max = spectrum._sideband_count(zeta)
+    orders = np.arange(-n_max, n_max + 1)
+    weights = spectrum._component_weights(zeta, n_max)
+    series = np.array([bessel_series(int(n), zeta) for n in orders])
+    assert np.abs(weights - series).max() < 1e-12
+    assert np.abs(weights - jv(orders, zeta)).max() < 1e-12
+    parity = np.where(orders % 2, -1.0, 1.0)
+    assert np.array_equal(weights[::-1], parity * weights)  # exact, as the recurrence is run once
+    assert np.array_equal(spectrum._component_weights(-zeta, n_max), parity * weights)
 
 
 def test_first_order_tiny_index_is_the_carrier():
@@ -180,7 +195,7 @@ def test_second_order_tiny_inner_index_matches_first_order():
     strong = first.freqs[np.abs(first.amps) > 1e-4]
     assert len(strong) > 5
     for f in strong:
-        assert abs(second.amplitude_at(f) - first.amplitude_at(f)) < 1e-5
+        assert abs(line_amplitude(second, f) - line_amplitude(first, f)) < 1e-5
 
 
 def _assert_same_lines(a, b):
@@ -212,11 +227,11 @@ def test_predict_stack_reproduces_the_first_and_second_order_predictors(depth, i
         (z, fm), (_, fc) = params
         limits = () if policy is None else (policy.sidebands, policy.amplitude_floor)
         old = oracles.predict_first_order(fc, fm, z, *limits)
-        _assert_same_lines(stack, old.scaled(amp))
+        _assert_same_lines(stack, LineSpectrum(old.freqs, old.amps * amp))
     else:
         (z0, fm0), (z1, fm1), (_, fc) = params
         old = oracles.predict_second_order(fc, fm0, fm1, z0, z1, policy)
-        _assert_same_lines(stack, old.scaled(amp))
+        _assert_same_lines(stack, LineSpectrum(old.freqs, old.amps * amp))
 
 
 def _worst_db_against_pm_chain(params, grid, sample_rate, periods=16):
@@ -232,7 +247,7 @@ def _worst_db_against_pm_chain(params, grid, sample_rate, periods=16):
     floor = max(np.abs(pred.amps).max(), lines.max()) * 1e-3
     worst, checked = 0.0, 0
     for k, measured in enumerate(lines):
-        predicted = abs(pred.amplitude_at(k * grid))
+        predicted = abs(line_amplitude(pred, k * grid))
         if max(predicted, measured) < floor:
             continue
         worst = max(worst, abs(20.0 * np.log10(predicted / measured)))

@@ -3,12 +3,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from fmstack.operators import Operator
 from fmstack.wavetable import (
     COSINE_TABLE,
     DIFF_TABLE,
     PHASE_MODULUS,
     PhaseAccumulator,
-    freq_to_increment,
+    check_render_args,
 )
 from oracles import phase_accumulator_run
 
@@ -33,25 +34,28 @@ def test_cosine_table_matches_cos():
     assert 4e-6 < err <= (2.0 * np.pi / 1024) ** 2 / 8
 
 
-def test_freq_to_increment():
-    assert freq_to_increment(0.0, 48000) == 0
-    assert freq_to_increment(12000.0, 48000) == 2**30
-    assert freq_to_increment(-12000.0, 48000) == -(2**30)
-    # truncation toward zero, like the C integer cast
-    assert freq_to_increment(480.0, 48000) == 42949672
-    assert freq_to_increment(-480.0, 48000) == -42949672
+def test_increment_truncates_toward_zero():
+    # an operator, serial or block, advances by trunc(f * 2**32 / fs) like a C
+    # integer cast: 480 Hz at 48 kHz is 42949672.96 counts, of which .96 is dropped
+    for freq, increment in [(0.0, 0), (12000.0, 2**30), (-12000.0, -(2**30)), (480.0, 42949672), (-480.0, -42949672)]:
+        serial, block = Operator(48000), Operator(48000)
+        serial.tick(1.0, freq)
+        block.process(1.0, freq, np.full(1, -0.0))
+        assert serial.acc.phase == block.acc.phase == increment % PHASE_MODULUS
 
 
 @pytest.mark.parametrize("freq", [48000.0, -48000.0, 50000.0, np.inf, np.nan])
 def test_increment_out_of_range(freq):
-    with pytest.raises(ValueError, match="must be finite and below the sample rate"):
-        freq_to_increment(freq, 48000)
+    with pytest.raises(ValueError, match="aliases at fs=48000.0"):
+        Operator(48000).tick(1.0, freq)
+    with pytest.raises(ValueError, match="aliases at fs=48000.0"):
+        Operator(48000).process(1.0, freq, np.full(3, -0.0))
 
 
 @pytest.mark.parametrize("sr", [0.0, -48000.0, np.inf, -np.inf, np.nan])
 def test_bad_sample_rate_rejected(sr):
     with pytest.raises(ValueError, match="sample rate must be finite and positive"):
-        freq_to_increment(500.0, sr)
+        check_render_args([1.0], 1, sr)
     with pytest.raises(ValueError, match="sample rate must be finite and positive"):
         PhaseAccumulator(sr)
 
@@ -67,7 +71,7 @@ def test_sample_after_100_ticks():
     # phase after 100 increments is 100*trunc(480*2^32/48000) mod 2^32,
     # 96 counts short of a full cycle, so the next sample is ~cos(0)
     acc = PhaseAccumulator(48000)
-    inc = freq_to_increment(480.0, 48000)
+    inc = int(480.0 * acc.freq_scale)
     for _ in range(100):
         acc.tick(1.0, inc)
     assert acc.phase == (100 * inc) % PHASE_MODULUS
@@ -77,7 +81,7 @@ def test_sample_after_100_ticks():
 @pytest.mark.parametrize("freq", [500.0, 480.0, 437.19, -333.33, 12345.6])
 def test_phase_wraparound_exact(freq):
     acc = PhaseAccumulator(48000)
-    inc = freq_to_increment(freq, 48000)
+    inc = int(freq * acc.freq_scale)
     n = 1000
     acc.run(1.0, np.full(n, inc, dtype=np.int64))
     assert acc.phase == (n * inc) % PHASE_MODULUS
@@ -86,7 +90,7 @@ def test_phase_wraparound_exact(freq):
 @pytest.mark.parametrize("freq,fs", [(500.0, 48000.0), (437.0, 44100.0), (997.0, 96000.0)])
 def test_interpolation_accuracy_one_period(freq, fs):
     acc = PhaseAccumulator(fs)
-    inc = freq_to_increment(freq, fs)
+    inc = int(freq * acc.freq_scale)
     n = int(np.ceil(fs / freq))
     out = acc.run(1.0, np.full(n, inc, dtype=np.int64))
     ideal = np.cos(2.0 * np.pi * freq * np.arange(n) / fs)
@@ -96,7 +100,7 @@ def test_interpolation_accuracy_one_period(freq, fs):
 def test_amplitude_linearity_exact():
     a1 = PhaseAccumulator(48000)
     a2 = PhaseAccumulator(48000)
-    inc = freq_to_increment(777.7, 48000)
+    inc = int(777.7 * a1.freq_scale)
     for _ in range(300):
         s1 = a1.tick(0.35, inc)
         s2 = a2.tick(0.70, inc)
@@ -132,7 +136,7 @@ def test_split_runs_match_tick_across_wrap():
 def test_negative_increment_runs_backward():
     fwd = PhaseAccumulator(48000)
     bwd = PhaseAccumulator(48000)
-    inc = freq_to_increment(500.0, 48000)
+    inc = int(500.0 * fwd.freq_scale)
     n = 96
     up = fwd.run(1.0, np.full(n, inc, dtype=np.int64))
     down = bwd.run(1.0, np.full(n, -inc, dtype=np.int64))
