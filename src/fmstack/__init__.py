@@ -22,7 +22,6 @@ from .pm import render_feedback_pm, render_pm_chain
 from .spectrum import (
     BudgetExceededError,
     LineSpectrum,
-    TruncationPolicy,
     merge_and_fold,
     predict_stack,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "PHASE_BITS",
     "PHASE_MODULUS",
     "PhaseAccumulator",
-    "TruncationPolicy",
     "WavSpec",
     "bessel_row",
     "detect_carrier_drift",

@@ -18,10 +18,14 @@ from .bessel import bessel_row
 MERGE_FREQ_EPS = 1e-9  # Hz; closer lines are treated as coincident
 MERGE_AMP_EPS = 1e-14  # amplitudes this small after merging are dropped
 EXPANSION_BUDGET = 10_000_000
+# lines of a level merged from more than one component, and of the output of
+# a stack of three or more operators, weaker than this are dropped; a level
+# expanded from one component is otherwise left whole
+AMPLITUDE_FLOOR = 1e-6
 
 
 class BudgetExceededError(RuntimeError):
-    """The truncated expansion grew past the term budget; raise the floor."""
+    """The expansion grew past EXPANSION_BUDGET terms; smaller indices or fewer operators shrink it."""
 
 
 @dataclass
@@ -40,24 +44,6 @@ class LineSpectrum:
             raise ValueError("line frequencies must be non-negative")
         if len(self.freqs) > 1 and np.any(np.diff(self.freqs) <= 0):
             raise ValueError("line frequencies must be strictly increasing")
-
-
-@dataclass
-class TruncationPolicy:
-    """Sideband count for the inner expansion plus the pruning floor."""
-
-    sidebands: int
-    amplitude_floor: float = 1e-6
-
-    def __post_init__(self):
-        if self.sidebands < 0:
-            raise ValueError("sideband count must be >= 0")
-        if not self.amplitude_floor >= 0:  # also rejects NaN
-            raise ValueError("amplitude floor must be >= 0")
-
-    @classmethod
-    def for_index(cls, z0: float) -> "TruncationPolicy":
-        return cls(sidebands=_sideband_count(z0))
 
 
 def _sideband_count(z: float) -> int:
@@ -186,7 +172,7 @@ def _merge_convolution(freqs, amps, orders, weights, nu, floor, buf: _Buffers):
 # an expansion past the double range turns into inf or NaN lines, which the
 # check at the end rejects; numpy's warnings on the way would say nothing more
 @np.errstate(over="ignore", invalid="ignore")
-def predict_stack(params, policy: TruncationPolicy | None = None) -> LineSpectrum:
+def predict_stack(params) -> LineSpectrum:
     """Truncated line spectrum of a modulation stack of any depth.
 
     `params` holds (index, freq_hz) pairs from the top of the stack down,
@@ -197,13 +183,12 @@ def predict_stack(params, policy: TruncationPolicy | None = None) -> LineSpectru
     operator's index, are the components of the level below. Only the
     output is folded onto non-negative frequencies.
 
-    `policy.sidebands` sets the top operator's series; every other series
-    takes _sideband_count(|zeta|) sidebands. A level built from more than
-    one component merges coincident lines and drops those below
-    `policy.amplitude_floor` after each convolution; a level expanded from
-    a single component is left whole unless it is the output, whose lines
-    below the floor are dropped. The default floor is 0 for a single
-    modulator and 1e-6 for deeper stacks.
+    Every series takes _sideband_count(|zeta|) sidebands. A level built from
+    more than one component merges coincident lines and drops those below
+    AMPLITUDE_FLOOR after each convolution; a level expanded from a single
+    component is left whole, unless it is the output of a stack of three or
+    more operators, whose lines below the floor are dropped. Past
+    EXPANSION_BUDGET terms the expansion raises BudgetExceededError.
 
     Each merge sorts its candidates as presorted runs, one per order of the
     series, and gives the bits `_merge_signed` gives on the row-major
@@ -221,25 +206,20 @@ def predict_stack(params, policy: TruncationPolicy | None = None) -> LineSpectru
             raise ValueError("modulation frequencies must be positive")
         if z < 0:
             raise ValueError("modulation indices must be >= 0")
-    if policy is None and len(params) > 1:
-        policy = TruncationPolicy.for_index(params[0][0])
-        if len(params) == 2:
-            policy.amplitude_floor = 0.0
     freqs, amps = np.array([params[0][1]], dtype=np.float64), np.array([1.0])
     terms = 0
     buf = _Buffers()
     for depth, ((z, _), (_, carrier)) in enumerate(zip(params, params[1:]), 2):
         single = len(freqs) == 1
-        floor = 0.0 if single and depth < len(params) else policy.amplitude_floor
+        floor = 0.0 if single and (depth < len(params) or len(params) == 2) else AMPLITUDE_FLOOR
         components = zip(freqs, z * amps)
         freqs, amps = np.array([carrier], dtype=np.float64), np.array([1.0])
         for nu, zeta in components:
-            n_max = policy.sidebands if depth == 2 else _sideband_count(zeta)
+            n_max = _sideband_count(zeta)
             terms += len(freqs) * (2 * n_max + 1)
             if terms > EXPANSION_BUDGET:
                 raise BudgetExceededError(
-                    f"expansion grew past {EXPANSION_BUDGET} terms; "
-                    "raise the amplitude floor or reduce the sideband count"
+                    f"expansion grew past {EXPANSION_BUDGET} terms; use smaller indices or fewer operators"
                 )
             weights = _component_weights(zeta, n_max)
             nonzero = np.flatnonzero(weights)

@@ -4,7 +4,6 @@ import logging
 import math
 import struct
 from array import array
-from fractions import Fraction
 from math import factorial
 
 import numpy as np
@@ -14,12 +13,12 @@ from fmstack.analysis import _LOG_GUARD, _PEAK_SELECT_DB, MeasuredSpectrum
 from fmstack.operators import InstabilityError, Operator
 from fmstack.bessel import bessel_row
 from fmstack.spectrum import (
+    AMPLITUDE_FLOOR,
     EXPANSION_BUDGET,
     MERGE_AMP_EPS,
     MERGE_FREQ_EPS,
     BudgetExceededError,
     LineSpectrum,
-    TruncationPolicy,
     _sideband_count,
 )
 from fmstack.wavetable import _PHASE_MASK, COSINE_TABLE, FRAC_BITS, FRAC_MASK, FRAC_SCALE, PHASE_MODULUS
@@ -28,9 +27,15 @@ from fmstack.wavetable import _PHASE_MASK, COSINE_TABLE, FRAC_BITS, FRAC_MASK, F
 def bessel_series(n: int, z: float, terms: int = 100) -> float:
     """J_n(z) by the alternating power series in exact rational arithmetic.
 
-    sum_k (-1)^k (z/2)^(n+2k) / (k! (n+k)!), summed over `terms` terms with
-    Fraction coefficients, so there is no cancellation error; the truncation
-    tail is far below 1e-20 for z <= 32 with the default term count.
+    sum_k (-1)^k (z/2)^(n+2k) / (k! (n+k)!), summed over `terms` terms
+    exactly, so there is no cancellation error; the truncation tail is far
+    below 1e-20 for z <= 32 with the default term count.
+
+    With z = p/q exactly (`float.as_integer_ratio`) and K = terms, the sum
+    is p^n * T / ((2q)^n (4q^2)^(K-1) (K-1)! (n+K-1)!), where the integer
+    T = sum_k (-1)^k p^(2k) (4q^2)^(K-1-k) (K-1)!/k! (n+K-1)!/(n+k)! obeys
+    T_m = T_(m-1) * 4q^2 * m * (n+m) + (-p^2)^m. Integer division rounds
+    correctly, so the result is the exact sum rounded once.
     """
     order = abs(n)
     sign = -1 if (n < 0 and order % 2) else 1
@@ -38,14 +43,14 @@ def bessel_series(n: int, z: float, terms: int = 100) -> float:
         if order % 2:
             sign = -sign
         z = -z
-    half = Fraction(z) / 2
-    total = Fraction(0)
-    power = half**order
-    for k in range(terms):
-        term = power / (factorial(k) * factorial(order + k))
-        total += -term if k % 2 else term
-        power *= half * half
-    return sign * float(total)
+    p, q = z.as_integer_ratio()
+    c = 4 * q * q
+    num, power = 1, 1
+    for m in range(1, terms):
+        power *= -p * p
+        num = num * c * m * (order + m) + power
+    den = (2 * q) ** order * c ** (terms - 1) * factorial(terms - 1) * factorial(order + terms - 1)
+    return sign * (p**order * num / den)
 
 
 def line_amplitude(spec: LineSpectrum, freq_hz: float, tol_hz: float = 1e-6) -> float:
@@ -168,28 +173,19 @@ def merge_and_fold(raw_lines) -> LineSpectrum:
     return LineSpectrum(f, a)
 
 
-def predict_first_order(
-    fc: float,
-    fm: float,
-    z: float,
-    max_sideband: int | None = None,
-    amplitude_floor: float = 0.0,
-) -> LineSpectrum:
-    """Sideband lines of single-modulator FM/PM: J_n(z) at fc + n*fm."""
+def predict_first_order(fc: float, fm: float, z: float) -> LineSpectrum:
+    """Sideband lines of single-modulator FM/PM: J_n(z) at fc + n*fm, none dropped."""
     if fm <= 0:
         raise ValueError("modulation frequency must be positive")
     if z < 0:
         raise ValueError("modulation index must be >= 0")
-    if max_sideband is None:
-        max_sideband = _sideband_count(z)
+    max_sideband = _sideband_count(z)
     row = bessel_row(max_sideband, z)
     lines = []
     for n in range(-max_sideband, max_sideband + 1):
         a = row[abs(n)]
         if n < 0 and (n & 1):
             a = -a
-        if abs(a) < amplitude_floor:
-            continue
         lines.append((fc + n * fm, a))
     return merge_and_fold(lines)
 
@@ -213,22 +209,19 @@ def predict_second_order(
     fm1: float,
     z0: float,
     z1: float,
-    policy: TruncationPolicy | None = None,
 ) -> LineSpectrum:
     """Truncated line spectrum of a two-stage modulation stack.
 
     The modulated modulator contributes components at fm1 + k*fm0 with
     effective indices z1*J_k(z0); their Jacobi-Anger series are convolved,
-    pruning amplitudes below the policy floor as the expansion grows.
+    pruning amplitudes below AMPLITUDE_FLOOR as the expansion grows.
     """
     if fm0 <= 0 or fm1 <= 0:
         raise ValueError("modulation frequencies must be positive")
     if z0 < 0 or z1 < 0:
         raise ValueError("modulation indices must be >= 0")
-    if policy is None:
-        policy = TruncationPolicy.for_index(z0)
-    k_max = policy.sidebands
-    floor = policy.amplitude_floor
+    k_max = _sideband_count(z0)
+    floor = AMPLITUDE_FLOOR
 
     inner = bessel_row(k_max, z0)
     freqs = np.array([fc])
@@ -248,10 +241,7 @@ def predict_second_order(
         n_values = n_values[keep]
         expanded_terms += len(freqs) * len(weights)
         if expanded_terms > EXPANSION_BUDGET:
-            raise BudgetExceededError(
-                f"expansion grew past {EXPANSION_BUDGET} terms; "
-                "raise the amplitude floor or reduce the sideband count"
-            )
+            raise BudgetExceededError(f"expansion grew past {EXPANSION_BUDGET} terms")
         cand_f = (freqs[:, None] + n_values[None, :] * nu).ravel()
         cand_a = (amps[:, None] * weights[None, :]).ravel()
         freqs, amps = _merge_signed(cand_f, cand_a, floor)
@@ -262,11 +252,12 @@ def predict_second_order(
 # --- `predict_stack` as written before its merges sorted column runs: every
 # multi-component convolution goes row-major through `_merge_signed`. The body
 # is verbatim but for the `spectrum.` prefix on the package helpers it calls,
-# which are unchanged, and the name of its result. `predict_stack` must
-# reproduce its output bit for bit.
+# which are unchanged, the name of its result, and its truncation: the top
+# series' sideband count and the floor are two locals set by the default rule.
+# `predict_stack` must reproduce its output bit for bit.
 
 
-def predict_stack_row_major(params, policy: TruncationPolicy | None = None) -> LineSpectrum:
+def predict_stack_row_major(params) -> LineSpectrum:
     """Truncated line spectrum of a modulation stack, one row-major merge per convolution."""
     if not params:
         raise ValueError("a stack needs at least one operator")
@@ -275,25 +266,21 @@ def predict_stack_row_major(params, policy: TruncationPolicy | None = None) -> L
             raise ValueError("modulation frequencies must be positive")
         if z < 0:
             raise ValueError("modulation indices must be >= 0")
-    if policy is None and len(params) > 1:
-        policy = TruncationPolicy.for_index(params[0][0])
-        if len(params) == 2:
-            policy.amplitude_floor = 0.0
+    if len(params) > 1:
+        sidebands = _sideband_count(params[0][0])
+        amplitude_floor = 0.0 if len(params) == 2 else AMPLITUDE_FLOOR
     freqs, amps = np.array([params[0][1]], dtype=np.float64), np.array([1.0])
     terms = 0
     for depth, ((z, _), (_, carrier)) in enumerate(zip(params, params[1:]), 2):
         single = len(freqs) == 1
-        floor = 0.0 if single and depth < len(params) else policy.amplitude_floor
+        floor = 0.0 if single and depth < len(params) else amplitude_floor
         components = zip(freqs, z * amps)
         freqs, amps = np.array([carrier], dtype=np.float64), np.array([1.0])
         for nu, zeta in components:
-            n_max = policy.sidebands if depth == 2 else _sideband_count(zeta)
+            n_max = sidebands if depth == 2 else _sideband_count(zeta)
             terms += len(freqs) * (2 * n_max + 1)
             if terms > EXPANSION_BUDGET:
-                raise BudgetExceededError(
-                    f"expansion grew past {EXPANSION_BUDGET} terms; "
-                    "raise the amplitude floor or reduce the sideband count"
-                )
+                raise BudgetExceededError(f"expansion grew past {EXPANSION_BUDGET} terms")
             weights = spectrum._component_weights(zeta, n_max)
             nonzero = np.flatnonzero(weights)
             cand_f = (freqs[:, None] + (nonzero - n_max)[None, :] * nu).ravel()

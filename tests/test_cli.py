@@ -495,12 +495,16 @@ def test_other_commands_accept_non_integer_rates(tmp_path):
     assert out.exists()
 
 
-def test_budget_exceeded_exits_3_without_file(tmp_path):
+def test_budget_exceeded_exits_3_without_file(tmp_path, capsys):
     out = tmp_path / "p.csv"
     code = main(["spectrum", "--mode", "predicted", "--topology", "pm2", "--op", "30:123.4",
                  "--op", "30:456.7", "--op", "1:1000", "--out", str(out)])
     assert code == 3
     assert not out.exists()
+    # the message names what a command line can change: no flag sets a floor or a sideband count
+    err = capsys.readouterr().err
+    assert "smaller indices or fewer operators" in err
+    assert "floor" not in err and "sideband" not in err
 
 
 @pytest.mark.parametrize("ops", [

@@ -11,9 +11,9 @@ from fmstack import spectrum
 from fmstack.analysis import AnalysisFrame, measure_spectrum
 from fmstack.pm import render_pm_chain
 from fmstack.spectrum import (
+    AMPLITUDE_FLOOR,
     BudgetExceededError,
     LineSpectrum,
-    TruncationPolicy,
     merge_and_fold,
     predict_stack,
 )
@@ -92,11 +92,12 @@ def test_second_order_outer_zero_is_single_line():
 
 
 def test_second_order_degenerates_exactly():
-    policy = TruncationPolicy.for_index(0.0)
-    two = predict_stack([(0.0, 123.0), (2.0, 500.0), (1.0, 700.0)], policy)
-    one = predict_stack([(2.0, 500.0), (1.0, 700.0)], TruncationPolicy(10, policy.amplitude_floor))
-    assert np.array_equal(two.freqs, one.freqs)
-    assert np.array_equal(two.amps, one.amps)
+    # the output of a two-modulator stack drops lines below the floor; one modulator keeps them
+    two = predict_stack([(0.0, 123.0), (2.0, 500.0), (1.0, 700.0)])
+    one = predict_stack([(2.0, 500.0), (1.0, 700.0)])
+    strong = np.abs(one.amps) >= AMPLITUDE_FLOOR
+    assert np.array_equal(two.freqs, one.freqs[strong])
+    assert np.array_equal(two.amps, one.amps[strong])
 
 
 def test_second_order_matches_pm_oracle():
@@ -139,20 +140,9 @@ def test_power_conservation_without_folds():
         assert abs(power - 0.5) < 1e-4
 
 
-def test_truncation_policy():
-    policy = TruncationPolicy.for_index(3.0)
-    assert policy.sidebands == 11
-    assert policy.sidebands >= int(np.ceil(3.0)) + 2
-    assert policy.amplitude_floor == 1e-6
-    with pytest.raises(ValueError):
-        TruncationPolicy(-1)
-    with pytest.raises(ValueError):
-        TruncationPolicy(4, -0.5)
-
-
 def test_expansion_budget_guard():
     with pytest.raises(BudgetExceededError):
-        predict_stack([(1.0, np.sqrt(2.0) * 100.0), (1e5, np.pi * 100.0), (1.0, 500.0)], TruncationPolicy(2, 0.0))
+        predict_stack([(1.0, np.sqrt(2.0) * 100.0), (1e5, np.pi * 100.0), (1.0, 500.0)])
 
 
 def test_second_order_rejects_bad_input():
@@ -205,9 +195,6 @@ def _assert_same_lines(a, b):
 
 _INDEX = st.sampled_from([0.0, 1e-200, 1e-9]) | st.floats(0.05, 8.0)
 _FREQ = st.integers(1, 12).map(lambda k: 125.0 * k) | st.floats(20.0, 3000.0)  # commensurate | not
-_POLICY = st.none() | st.builds(
-    TruncationPolicy, st.integers(0, 14), st.sampled_from([1e-14, 1e-10, 1e-6]) | st.floats(1e-14, 1e-2)
-)
 
 
 @settings(max_examples=60, deadline=None)
@@ -216,21 +203,19 @@ _POLICY = st.none() | st.builds(
     indices=st.lists(_INDEX, min_size=2, max_size=2),
     freqs=st.lists(_FREQ, min_size=3, max_size=3),
     amp=st.sampled_from([1.0, 0.5, -2.0]),
-    policy=_POLICY,
 )
-def test_predict_stack_reproduces_the_first_and_second_order_predictors(depth, indices, freqs, amp, policy):
+def test_predict_stack_reproduces_the_first_and_second_order_predictors(depth, indices, freqs, amp):
     params = list(zip(indices[: depth - 1], freqs[: depth - 1])) + [(amp, freqs[depth - 1])]
-    stack = predict_stack(params, policy)
+    stack = predict_stack(params)
     if depth == 1:
         _assert_same_lines(stack, LineSpectrum(np.array([freqs[0]]), np.array([amp])))
     elif depth == 2:
         (z, fm), (_, fc) = params
-        limits = () if policy is None else (policy.sidebands, policy.amplitude_floor)
-        old = oracles.predict_first_order(fc, fm, z, *limits)
+        old = oracles.predict_first_order(fc, fm, z)
         _assert_same_lines(stack, LineSpectrum(old.freqs, old.amps * amp))
     else:
         (z0, fm0), (z1, fm1), (_, fc) = params
-        old = oracles.predict_second_order(fc, fm0, fm1, z0, z1, policy)
+        old = oracles.predict_second_order(fc, fm0, fm1, z0, z1)
         _assert_same_lines(stack, LineSpectrum(old.freqs, old.amps * amp))
 
 
@@ -320,28 +305,20 @@ def test_first_order_rejects_a_non_finite_index(z):
         predict_stack([(z, 100.0), (1.0, 500.0)])
 
 
-def test_truncation_policy_rejects_a_nan_floor():
-    with pytest.raises(ValueError):
-        TruncationPolicy(4, math.nan)
-
-
 # MHz carriers put candidates where the grid spacing of float64 reaches
 # 1e-9 Hz, and modulators below 1e-9 Hz sit under the spacing at audio
 # frequencies, so rounding can reorder exact ties
 _WIDE_FREQ = _FREQ | st.floats(1e5, 3e7) | st.floats(1e-15, 1e-9) | st.sampled_from([1e-9, 5e-10, 3e-14])
-# indices and floors that keep stacks of depth 5 well inside the budget
+# indices that keep stacks of depth 5 well inside the budget
 _SMALL_INDEX = st.sampled_from([0.0, 1e-200, 1e-9]) | st.floats(0.05, 1.2)
-_ORACLE_POLICY = st.none() | st.builds(
-    TruncationPolicy, st.integers(0, 8), st.sampled_from([1e-10, 1e-6, 1e-3, 0.5])
-)
 
 
-def _row_major_or_budget(params, policy):
+def _row_major_or_budget(params):
     try:
-        return oracles.predict_stack_row_major(params, policy)
+        return oracles.predict_stack_row_major(params)
     except BudgetExceededError:
         with pytest.raises(BudgetExceededError):
-            predict_stack(params, policy)
+            predict_stack(params)
         return None
 
 
@@ -351,13 +328,12 @@ def _row_major_or_budget(params, policy):
     freqs=st.lists(_WIDE_FREQ, min_size=5, max_size=5),
     depth=st.integers(2, 5),
     amp=st.sampled_from([1.0, 0.5, -2.0]),
-    policy=_ORACLE_POLICY,
 )
-def test_predict_stack_matches_the_row_major_merge(indices, freqs, depth, amp, policy):
+def test_predict_stack_matches_the_row_major_merge(indices, freqs, depth, amp):
     params = list(zip(indices[: depth - 1], freqs[: depth - 1])) + [(amp, freqs[depth - 1])]
-    old = _row_major_or_budget(params, policy)
+    old = _row_major_or_budget(params)
     if old is not None:
-        _assert_same_lines(predict_stack(params, policy), old)
+        _assert_same_lines(predict_stack(params), old)
 
 
 _ROUNDING_EDGES = [
@@ -371,14 +347,6 @@ _ROUNDING_EDGES = [
 @pytest.mark.parametrize("params", _ROUNDING_EDGES)
 def test_predict_stack_matches_the_row_major_merge_at_rounding_edges(params):
     _assert_same_lines(predict_stack(params), oracles.predict_stack_row_major(params))
-
-
-def test_a_floor_above_every_line_empties_the_stack():
-    # the first merge drops every line, so the later merges have no candidates
-    params, policy = [(1.0, 100.0), (1.0, 200.0), (1.0, 1000.0)], TruncationPolicy(2, 0.99)
-    spec = predict_stack(params, policy)
-    assert len(spec.freqs) == 0
-    _assert_same_lines(spec, oracles.predict_stack_row_major(params, policy))
 
 
 @pytest.mark.parametrize("params, falls_back", [
