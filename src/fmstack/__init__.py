@@ -3,7 +3,6 @@ Bessel-based spectrum prediction and bin-centered spectrum measurement."""
 
 from .analysis import (
     AnalysisFrame,
-    MeasuredSpectrum,
     detect_carrier_drift,
     fit_spectral_slope,
     measure_dc,
@@ -35,7 +34,6 @@ __all__ = [
     "COSINE_TABLE",
     "InstabilityError",
     "LineSpectrum",
-    "MeasuredSpectrum",
     "Operator",
     "PHASE_BITS",
     "PHASE_MODULUS",

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .spectrum import LineSpectrum
+
 MIN_PERIODS = 16
 _PEAK_SELECT_DB = -40.0  # peaks above this, relative to the strongest bin
 _LOG_GUARD = 1e-150
@@ -44,16 +46,9 @@ class AnalysisFrame:
             raise ValueError(f"frame must hold at least {MIN_PERIODS} periods")
 
 
-@dataclass
-class MeasuredSpectrum:
-    """One-sided DFT bins; a full-scale bin-centered cosine reads magnitude 1.0."""
-
-    freqs: np.ndarray
-    mags: np.ndarray
-
-
-def measure_spectrum(frame: AnalysisFrame, window: str = "rectangular") -> MeasuredSpectrum:
-    """One-sided magnitude spectrum of a frame.
+def measure_spectrum(frame: AnalysisFrame, window: str = "rectangular") -> LineSpectrum:
+    """One-sided magnitude spectrum of a frame: one line per DFT bin, whose
+    amplitude is the bin's magnitude; a full-scale bin-centered cosine reads 1.0.
 
     The rectangular window is exact for bin-centered partials; 'hann'
     (periodic form) trades exactness for leakage control on off-grid peaks.
@@ -74,11 +69,11 @@ def measure_spectrum(frame: AnalysisFrame, window: str = "rectangular") -> Measu
     if n % 2 == 0:
         mags[-1] *= 0.5  # Nyquist bin is not doubled
     freqs = np.arange(len(spectrum)) * (frame.sample_rate / n)
-    return MeasuredSpectrum(freqs, mags)
+    return LineSpectrum(freqs, mags)
 
 
 def detect_carrier_drift(
-    spec: MeasuredSpectrum, grid_hz: float, tolerance_hz: float
+    spec: LineSpectrum, grid_hz: float, tolerance_hz: float
 ) -> tuple[float, list[tuple[float, float]]]:
     """Distance of spectral peaks from the nearest harmonic-grid multiple.
 
@@ -90,7 +85,7 @@ def detect_carrier_drift(
     """
     if not 0 < grid_hz < math.inf:
         raise ValueError(f"grid must be positive and finite, got {grid_hz}")
-    mags = spec.mags
+    mags = spec.amps
     if len(mags) < 3 or mags.max() <= 0.0:
         return 0.0, []
     bin_hz = spec.freqs[1] - spec.freqs[0]
@@ -113,25 +108,22 @@ def measure_dc(frame: AnalysisFrame) -> float:
     return float(np.mean(frame.samples))
 
 
-def fit_spectral_slope(spec: MeasuredSpectrum, fundamental_hz: float, harmonics) -> float:
+def fit_spectral_slope(spec: LineSpectrum, fundamental_hz: float, harmonics) -> float:
     """Least-squares slope in dB/octave of harmonic magnitudes vs log frequency.
 
     A 1/f envelope fits -6.02 dB/octave. Needs at least four harmonics with
     magnitude above 1e-9.
     """
     bin_hz = spec.freqs[1] - spec.freqs[0]
-    freqs = []
-    mags = []
+    freqs, amps = [], []
     for k in harmonics:
         if k < 1:
             raise ValueError("harmonics are counted from 1")
         idx = round(k * fundamental_hz / bin_hz)
-        if idx >= len(spec.mags):
-            continue
-        if spec.mags[idx] > 1e-9:
+        if idx < len(spec.amps) and spec.amps[idx] > 1e-9:
             freqs.append(k * fundamental_hz)
-            mags.append(spec.mags[idx])
+            amps.append(spec.amps[idx])
     if len(freqs) < 4:
         raise ValueError("need at least four harmonics with measurable magnitude")
-    slope, _ = np.polyfit(np.log2(freqs), 20.0 * np.log10(mags), 1)
+    slope, _ = np.polyfit(np.log2(freqs), 20.0 * np.log10(amps), 1)
     return float(slope)

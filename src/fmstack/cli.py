@@ -30,7 +30,7 @@ from .analysis import (
     measure_spectrum,
     samples_per_period,
 )
-from .io_formats import WavSpec, wav_sink, write_spectrum_csv
+from .io_formats import WavSpec, max_wav_samples, wav_sink, write_spectrum_csv
 from .operators import (
     InstabilityError,
     Sink,
@@ -40,9 +40,6 @@ from .operators import (
 )
 from .pm import render_feedback_pm, render_pm_chain
 from .spectrum import BudgetExceededError, LineSpectrum, predict_stack
-
-_MAX_SAMPLES = (2**32 - 1 - 36) // 4  # 32-bit float samples a RIFF file's size field can hold
-
 
 class UsageError(Exception):
     pass
@@ -87,12 +84,7 @@ class PatchSpec:
             raise UsageError(f"topology {self.topology} has no feedback loop; its feedback gain must be 0")
         if self.sample_rate <= 0 or self.duration <= 0:
             raise UsageError("sample rate and duration must be positive")
-        length = self.duration * self.sample_rate
-        if not (math.isfinite(length) and round(length) <= _MAX_SAMPLES):
-            raise UsageError(
-                f"duration {self.duration:g} s at {self.sample_rate:g} Hz is more than "
-                f"the {_MAX_SAMPLES} samples a WAV file can hold"
-            )
+        self.check_length(16)  # no command takes more; `render` checks its own --bits
         if self.n_samples < 1:
             raise UsageError(f"duration {self.duration:g} s rounds to 0 samples at {self.sample_rate:g} Hz")
 
@@ -122,6 +114,15 @@ class PatchSpec:
     @property
     def n_samples(self) -> int:
         return round(self.duration * self.sample_rate)
+
+    def check_length(self, bits: int) -> None:
+        """Raise UsageError past the samples a WAV file of `bits`-bit samples can hold."""
+        length = self.duration * self.sample_rate
+        if not (math.isfinite(length) and round(length) <= max_wav_samples(bits)):
+            raise UsageError(
+                f"duration {self.duration:g} s at {self.sample_rate:g} Hz is more than "
+                f"the {max_wav_samples(bits)} samples a {bits}-bit WAV file can hold"
+            )
 
 
 def _render_pm(patch: PatchSpec, n_samples: int, sink: Sink | None = None) -> np.ndarray | None:
@@ -257,6 +258,7 @@ def cmd_render(args) -> int:
         spec = WavSpec(round(patch.sample_rate), args.bits)
     except ValueError as exc:  # a rate the WAV header cannot hold, checked before rendering
         raise UsageError(str(exc)) from exc
+    patch.check_length(args.bits)
     # each block goes from the engine to the encoder: memory stays a few
     # blocks at any duration
     with wav_sink(args.out, patch.n_samples, spec) as sink:
@@ -307,8 +309,8 @@ def cmd_compare(args) -> int:
     grid = _analysis_grid(args.grid_hz, [patch_a, patch_b])
     # Hann-windowed: exact for bin-centered lines, robust against the slight
     # off-grid smear of discretely integrated FM partials
-    lines_a = _measure(patch_a, grid, "hann", MIN_PERIODS).mags[::MIN_PERIODS]
-    lines_b = _measure(patch_b, grid, "hann", MIN_PERIODS).mags[::MIN_PERIODS]
+    lines_a = _measure(patch_a, grid, "hann", MIN_PERIODS).amps[::MIN_PERIODS]
+    lines_b = _measure(patch_b, grid, "hann", MIN_PERIODS).amps[::MIN_PERIODS]
     ref = max(lines_a.max(), lines_b.max())
     floor = ref * 10.0 ** (args.floor_db / 20.0)
     active = (lines_a > floor) | (lines_b > floor)

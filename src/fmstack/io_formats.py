@@ -14,11 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import MeasuredSpectrum
 from .operators import DEFAULT_BLOCK_SIZE
 from .spectrum import LineSpectrum
 
 log = logging.getLogger(__name__)
+
+
+def max_wav_samples(bit_depth: int) -> int:
+    """Most samples of bit_depth bits a RIFF size field counts beside 36 header bytes."""
+    return (0xFFFFFFFF - 36) // (bit_depth // 8)
 
 
 @dataclass
@@ -99,7 +103,7 @@ def wav_sink(path, n_samples: int, spec: WavSpec):
     n_samples finite samples; on any other outcome path is left as it was.
     """
     bytes_per_sample = spec.bit_depth // 8
-    if 36 + n_samples * bytes_per_sample > 0xFFFFFFFF:
+    if n_samples > max_wav_samples(spec.bit_depth):
         raise ValueError(f"{n_samples} samples overflow the 4 GiB size field of a RIFF file")
     size = min(n_samples, DEFAULT_BLOCK_SIZE)
     data = np.empty(size, dtype="<i2" if spec.bit_depth == 16 else "<f4")
@@ -141,11 +145,11 @@ def wav_sink(path, n_samples: int, spec: WavSpec):
         fh.write(header)
         yield encode
         if bad:
-            raise ValueError(f"write_wav: {bad} of {seen} samples are NaN or infinite")
+            raise ValueError(f"{path}: {bad} of {seen} samples are NaN or infinite")
         if seen != n_samples:
-            raise ValueError(f"write_wav: got {seen} samples for a header of {n_samples}")
+            raise ValueError(f"{path}: got {seen} samples for a header of {n_samples}")
     if clipped:
-        log.warning("write_wav: clipped %d of %d samples to [-1, 1]", clipped, seen)
+        log.warning("%s: clipped %d of %d samples to [-1, 1]", path, clipped, seen)
 
 
 def write_wav(path, samples, spec: WavSpec) -> None:
@@ -161,31 +165,24 @@ def write_wav(path, samples, spec: WavSpec) -> None:
 _CSV_VECTOR_MIN_ROWS = 128  # measured break-even: shorter spectra format faster with one %
 
 
-def write_spectrum_csv(path, spec: LineSpectrum | MeasuredSpectrum) -> None:
+def write_spectrum_csv(path, spec: LineSpectrum) -> None:
     """Write `freq_hz,amplitude` rows with 9 significant digits (`%.9g`).
 
-    LineSpectrum rows carry signed amplitudes, MeasuredSpectrum rows carry
-    magnitudes. Output bytes are deterministic for identical inputs and
-    equal those of one `%.9g` per value. Spectra of at least
-    _CSV_VECTOR_MIN_ROWS rows, all finite, are formatted by numpy (see
-    `csv_format.format_cells`); shorter spectra and any spectrum with a NaN
-    or infinity take one Python `%` over all cells. The file is written
-    through _replacing, so a failing write leaves path as it was.
+    Output bytes are deterministic for identical inputs and equal those of
+    one `%.9g` per value. Spectra of at least _CSV_VECTOR_MIN_ROWS rows, all
+    finite, are formatted by numpy (see `csv_format.format_cells`); shorter
+    spectra and any spectrum with a NaN or infinity take one Python `%` over
+    all cells. The file is written through _replacing, so a failing write
+    leaves path as it was.
     """
-    if isinstance(spec, LineSpectrum):
-        values = spec.amps
-    elif isinstance(spec, MeasuredSpectrum):
-        values = spec.mags
-    else:
-        raise TypeError(f"cannot export {type(spec).__name__} as a spectrum CSV")
-    cells = np.column_stack((spec.freqs, values)).ravel()
-    if len(values) >= _CSV_VECTOR_MIN_ROWS and np.isfinite(cells).all():
+    cells = np.column_stack((spec.freqs, spec.amps)).ravel()
+    if len(spec.amps) >= _CSV_VECTOR_MIN_ROWS and np.isfinite(cells).all():
         from . import csv_format  # imported on first use: its tables cost set-up time
 
         body = csv_format.format_cells(cells)
     else:
         # Python floats format exactly like the numpy scalars they come from
-        body = (("%.9g,%.9g\n" * len(values)) % tuple(cells.tolist())).encode()
+        body = (("%.9g,%.9g\n" * len(spec.amps)) % tuple(cells.tolist())).encode()
     with _replacing(path) as fh:
         fh.write(b"freq_hz,amplitude\n")
         fh.write(body)

@@ -30,7 +30,8 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass
 class LineSpectrum:
-    """Sorted cosine-phase partials: non-negative frequencies, signed amplitudes."""
+    """Sorted cosine-phase partials: non-negative frequencies, signed amplitudes;
+    a measured spectrum has one line per DFT bin, whose amplitude is its magnitude."""
 
     freqs: np.ndarray
     amps: np.ndarray

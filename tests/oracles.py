@@ -9,7 +9,7 @@ from math import factorial
 import numpy as np
 
 from fmstack import spectrum
-from fmstack.analysis import _LOG_GUARD, _PEAK_SELECT_DB, MeasuredSpectrum
+from fmstack.analysis import _LOG_GUARD, _PEAK_SELECT_DB
 from fmstack.operators import InstabilityError, Operator
 from fmstack.bessel import bessel_row
 from fmstack.spectrum import (
@@ -102,15 +102,9 @@ def feedback_fm_ticks(amp, freq_hz, feedback_gain, n_samples, sample_rate):
 
 def write_spectrum_csv_rows(path, spec):
     """write_spectrum_csv as one formatted write per row from numpy scalars."""
-    if isinstance(spec, LineSpectrum):
-        rows = zip(spec.freqs, spec.amps)
-    elif isinstance(spec, MeasuredSpectrum):
-        rows = zip(spec.freqs, spec.mags)
-    else:
-        raise TypeError(f"cannot export {type(spec).__name__} as a spectrum CSV")
     with open(path, "w", newline="\n") as fh:
         fh.write("freq_hz,amplitude\n")
-        for f, a in rows:
+        for f, a in zip(spec.freqs, spec.amps):
             fh.write(f"{f:.9g},{a:.9g}\n")
 
 
@@ -118,7 +112,7 @@ def carrier_drift_loop(spec, grid_hz, tolerance_hz):
     """detect_carrier_drift as a Python loop over every bin."""
     if grid_hz <= 0:
         raise ValueError("grid must be positive")
-    mags = spec.mags
+    mags = spec.amps
     if len(mags) < 3 or mags.max() <= 0.0:
         return 0.0, []
     bin_hz = spec.freqs[1] - spec.freqs[0]
@@ -444,7 +438,7 @@ def write_wav_clip_copy(path, samples, spec) -> None:
         raise ValueError(f"{len(samples)} samples overflow the 4 GiB size field of a RIFF file")
     clipped = int(np.count_nonzero((samples < -1.0) | (samples > 1.0)))
     if clipped:
-        log.warning("write_wav: clipped %d of %d samples to [-1, 1]", clipped, len(samples))
+        log.warning("%s: clipped %d of %d samples to [-1, 1]", path, clipped, len(samples))
     samples = np.clip(samples, -1.0, 1.0)
     if spec.bit_depth == 16:
         fmt_tag = 1

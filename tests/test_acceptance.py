@@ -26,7 +26,7 @@ def test_criterion_1_first_order_spectrum_vs_bessel():
     n = round(fs / 500.0) * 16
     audio = render_stack([(2.0, 500.0), (1.0, 2000.0)], n, fs)
     spec = measure_spectrum(AnalysisFrame(audio, fs, 500.0))
-    lines = spec.mags[::16]
+    lines = spec.amps[::16]
     checked = 0
     worst = 0.0
     for k, measured in enumerate(lines):
@@ -61,7 +61,7 @@ def test_criterion_3_second_order_predictor_vs_oracle():
     periods = 16
     n = round(fs / 500.0) * periods
     pm = render_pm_chain([(3.0, 500.0), (2.0, 500.0), (1.0, 500.0)], n, fs)
-    lines = measure_spectrum(AnalysisFrame(pm, fs, 500.0)).mags[::periods]
+    lines = measure_spectrum(AnalysisFrame(pm, fs, 500.0)).amps[::periods]
     pred = predict_stack([(3.0, 500.0), (2.0, 500.0), (1.0, 500.0)])
     floor = max(np.abs(pred.amps).max(), lines.max()) * 1e-3
     worst = 0.0
@@ -106,7 +106,7 @@ def test_criterion_5_feedback_fm_and_pm():
     fb_fm = render_feedback_fm(1.0, 500.0, 0.5, n, fs)
     frame = AnalysisFrame(fb_fm, fs, 500.0)
     dc = measure_dc(frame)
-    harmonics = measure_spectrum(frame).mags[::64][1:11]
+    harmonics = measure_spectrum(frame).amps[::64][1:11]
     assert abs(dc) > 0.05
     for k in range(9):
         assert harmonics[k] > harmonics[k + 1]

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from fmstack.analysis import (
     AnalysisFrame,
-    MeasuredSpectrum,
     detect_carrier_drift,
     fit_spectral_slope,
     measure_dc,
@@ -13,6 +12,7 @@ from fmstack.analysis import (
 )
 from fmstack.operators import render_feedback_fm, render_naive_stack, render_stack
 from fmstack.pm import render_feedback_pm, render_pm_chain
+from fmstack.spectrum import LineSpectrum
 from oracles import bessel_series, carrier_drift_loop, naive_dft_mags
 
 FS = 48000.0
@@ -26,23 +26,23 @@ def _tone(freq, n, amp=1.0, fs=FS):
 def test_bin_centered_cosine_is_a_single_bin():
     frame = AnalysisFrame(_tone(500.0, 96 * 16), FS, 500.0)
     spec = measure_spectrum(frame)
-    k = np.argmax(spec.mags)
+    k = np.argmax(spec.amps)
     assert spec.freqs[k] == 500.0
-    assert abs(spec.mags[k] - 1.0) < 1e-12
-    rest = np.delete(spec.mags, k)
+    assert abs(spec.amps[k] - 1.0) < 1e-12
+    rest = np.delete(spec.amps, k)
     assert rest.max() < 1e-9
 
 
 def test_silence_measures_zero():
     frame = AnalysisFrame(np.zeros(96 * 16), FS, 500.0)
-    assert measure_spectrum(frame).mags.max() == 0.0
+    assert measure_spectrum(frame).amps.max() == 0.0
 
 
 def test_pm1_line_matches_bessel():
     out = render_pm_chain([(2.0, 500.0), (1.0, 2000.0)], 96 * 16, FS)
     spec = measure_spectrum(AnalysisFrame(out, FS, 500.0))
     k = round(2500.0 / spec.freqs[1])
-    assert abs(spec.mags[k] - abs(bessel_series(1, 2.0))) < 1e-3
+    assert abs(spec.amps[k] - abs(bessel_series(1, 2.0))) < 1e-3
 
 
 def test_frame_validation():
@@ -66,7 +66,7 @@ def test_parseval_rectangular():
         x += a * np.cos(2.0 * np.pi * 500.0 * k * np.arange(n) / FS + rng.uniform(0, 6))
     x += 0.2  # DC
     spec = measure_spectrum(AnalysisFrame(x, FS, 500.0))
-    power = spec.mags[0] ** 2 + spec.mags[-1] ** 2 + np.sum(spec.mags[1:-1] ** 2) / 2.0
+    power = spec.amps[0] ** 2 + spec.amps[-1] ** 2 + np.sum(spec.amps[1:-1] ** 2) / 2.0
     assert abs(power - np.mean(x**2)) < 1e-6 * np.mean(x**2)
 
 
@@ -78,7 +78,7 @@ def test_fft_matches_naive_dft():
     spec = measure_spectrum(AnalysisFrame(x, fs, f0))
     freqs, mags = naive_dft_mags(x, fs)
     assert np.array_equal(spec.freqs, freqs)
-    assert np.abs(spec.mags - mags).max() < 1e-9
+    assert np.abs(spec.amps - mags).max() < 1e-9
 
 
 def test_peak_interpolation_bias():
@@ -181,6 +181,6 @@ _mags = st.one_of(
 @example(mags=[1.0, 0.0, 0.0, 0.01, 0.0], bin_hz=1.0, grid_hz=2.0, tolerance_hz=0.0)  # at threshold
 def test_drift_matches_loop_oracle(mags, bin_hz, grid_hz, tolerance_hz):
     mags = np.array(mags)
-    spec = MeasuredSpectrum(np.arange(len(mags)) * bin_hz, mags)
+    spec = LineSpectrum(np.arange(len(mags)) * bin_hz, mags)
     expected = carrier_drift_loop(spec, grid_hz, tolerance_hz)
     assert detect_carrier_drift(spec, grid_hz, tolerance_hz) == expected

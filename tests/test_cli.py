@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import json
 import os
 import signal
@@ -49,6 +50,24 @@ def test_spectrum_determinism(tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# measured spectrum CSVs on paths the benchmark's reference catalog does not
+# take, pinned by sha256: the Hann fallback on a synthetic grid, where the
+# derived grid fits too few periods or does not divide the rate, and a frame
+# of odd length, which has no Nyquist bin (17 periods of 441 samples)
+@pytest.mark.parametrize("flags, sha256", [
+    (["--op", "1:440.3", "--op", "1:1000", "--sr", "48000"],
+     "0bd2bc0d8141e56d4f01692effdf6be618872d3def6e35c7deed74b294888b15"),
+    (["--op", "1:700", "--op", "1:1400", "--sr", "48000", "--dur", "0.1"],
+     "86960c3574fdc8155eadd5ec02fb9e6839b40a1f3f2f8501814b3bb06e983d0d"),
+    (["--op", "2:300", "--op", "1:500", "--sr", "44100", "--grid-hz", "100", "--dur", "0.17"],
+     "9f69195b0d7c2743ec368717a3ce8a22e1154070de53f153a73bd6c271832c7a"),
+], ids=["hann_fallback_few_periods", "hann_fallback_grid_off_rate", "odd_frame"])
+def test_measured_spectrum_csv_bytes(flags, sha256, tmp_path):
+    out = tmp_path / "m.csv"
+    assert main(["spectrum", "--topology", "pm1", *flags, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
 def test_spectrum_predicted_single_carrier(tmp_path):
@@ -540,11 +559,33 @@ def test_render_16_bit(tmp_path):
 
 
 def test_patch_length_bound_is_the_riff_limit():
-    # 32-bit float samples: 36 header bytes plus 4 per sample in a uint32 size field
-    last = (2**32 - 1 - 36) // 4
+    # 16-bit samples, the most a WAV file holds: 36 header bytes plus 2 per
+    # sample in a uint32 size field
+    last = (2**32 - 1 - 36) // 2
     assert PatchSpec("fm-stack", [(1.0, 500.0)], sample_rate=1.0, duration=last).n_samples == last
     with pytest.raises(UsageError):
         PatchSpec("fm-stack", [(1.0, 500.0)], sample_rate=1.0, duration=last + 1)
+
+
+@pytest.mark.parametrize("bits, code", [(16, 3), (32, 2)])
+def test_render_length_bound_follows_bits(bits, code, tmp_path, monkeypatch):
+    # one sample more than a 32-bit float WAV file holds, which a 16-bit one
+    # holds; the stub encoder fails as it is reached, so nothing renders
+    n = (2**32 - 1 - 36) // 4 + 1
+    reached = []
+
+    @contextlib.contextmanager
+    def stub(path, n_samples, spec):
+        reached.append((n_samples, spec.bit_depth))
+        raise OSError("stub encoder")
+        yield
+
+    monkeypatch.setattr("fmstack.cli.wav_sink", stub)
+    out = tmp_path / "long.wav"
+    assert main(["render", "--topology", "fm-stack", "--op", "1:0.25", "--sr", "1", "--dur", str(n),
+                 "--bits", str(bits), "--out", str(out)]) == code
+    assert reached == ([(n, 16)] if bits == 16 else [])
+    assert not out.exists()
 
 
 def _run(argv, tmp_path, capsys):

@@ -118,7 +118,7 @@ def test_two_operator_stack_matches_bessel_lines():
     # first-order FM: sidebands J_n(2) at 2000 + n*500
     n = 96 * 16
     audio = render_stack([(2.0, 500.0), (1.0, 2000.0)], n, FS)
-    lines = measure_spectrum(AnalysisFrame(audio, FS, 500.0)).mags[::16]
+    lines = measure_spectrum(AnalysisFrame(audio, FS, 500.0)).amps[::16]
     for k, measured in enumerate(lines):
         if measured < 1e-3:
             continue
@@ -132,9 +132,9 @@ def test_second_order_equivalence_to_pm():
     fs = 96000.0
     periods = 16
     n = round(fs / 500.0) * periods
-    fm_lines = measure_spectrum(AnalysisFrame(render_stack(FIG3, n, fs), fs, 500.0), "hann").mags[::periods]
+    fm_lines = measure_spectrum(AnalysisFrame(render_stack(FIG3, n, fs), fs, 500.0), "hann").amps[::periods]
     pm = render_pm_chain([(3.0, 500.0), (2.0, 500.0), (1.0, 500.0)], n, fs)
-    pm_lines = measure_spectrum(AnalysisFrame(pm, fs, 500.0), "hann").mags[::periods]
+    pm_lines = measure_spectrum(AnalysisFrame(pm, fs, 500.0), "hann").amps[::periods]
     floor = max(fm_lines.max(), pm_lines.max()) * 1e-3
     checked = 0
     for a, b in zip(fm_lines, pm_lines):
@@ -236,7 +236,7 @@ def test_feedback_fm_strong_dc():
 def test_feedback_fm_envelope_decays():
     n = 96 * 64
     frame = AnalysisFrame(render_feedback_fm(1.0, 500.0, 0.5, n, FS), FS, 500.0)
-    harm = measure_spectrum(frame).mags[::64][1:11]
+    harm = measure_spectrum(frame).amps[::64][1:11]
     for k in range(9):
         assert harm[k] > harm[k + 1]
 
@@ -342,7 +342,7 @@ def test_chunked_render_equals_whole_buffer_bitwise(params, block_and_length, na
 def _grid_lines(signal, fs, grid, periods=16):
     """Hann-windowed magnitudes at the grid harmonics, as `compare` measures them."""
     frame = AnalysisFrame(signal[: round(fs / grid) * periods], fs, grid)
-    return measure_spectrum(frame, "hann").mags[::periods]
+    return measure_spectrum(frame, "hann").amps[::periods]
 
 
 def _max_line_diff_db(ops, fs, grid):

@@ -25,7 +25,7 @@ def test_pm1_sideband_magnitudes():
     n = 96 * 16
     out = render_pm_chain([(2.0, 500.0), (1.0, 2000.0)], n, FS)
     spec = measure_spectrum(_frame(out))
-    lines = spec.mags[::16]  # harmonics of 500 Hz
+    lines = spec.amps[::16]  # harmonics of 500 Hz
     assert abs(lines[4] - abs(bessel_series(0, 2.0))) < 1e-3  # 2000 Hz
     assert abs(lines[5] - abs(bessel_series(1, 2.0))) < 1e-3  # 2500 Hz
 
@@ -84,7 +84,7 @@ def test_pm1_matches_folded_prediction():
     n = 96 * 16
     for z in [0.5, 1.0, 2.0, 3.0, 5.0]:
         out = render_pm_chain([(z, 500.0), (1.0, 2000.0)], n, FS)
-        lines = measure_spectrum(_frame(out)).mags[::16]
+        lines = measure_spectrum(_frame(out)).amps[::16]
         predicted = predict_stack([(z, 500.0), (1.0, 2000.0)])
         for k, measured in enumerate(lines):
             expect = abs(line_amplitude(predicted, k * 500.0))
@@ -96,9 +96,9 @@ def test_dc_offset_is_a_phase_shift():
     # fc >> z*fm so no negative-frequency fold interferes with the magnitudes
     n = 96 * 16
     params = [(2.0, 500.0), (1.0, 8000.0)]
-    base = measure_spectrum(_frame(render_pm_chain(params, n, FS))).mags
+    base = measure_spectrum(_frame(render_pm_chain(params, n, FS))).amps
     for c in [0.3, 1.0, np.pi / 2]:
-        shifted = measure_spectrum(_frame(pm1_expression(params, n, FS, phase_offset=c))).mags
+        shifted = measure_spectrum(_frame(pm1_expression(params, n, FS, phase_offset=c))).amps
         assert np.abs(shifted - base).max() < 1e-9
 
 
@@ -112,7 +112,7 @@ def test_feedback_pm_trivial_cases():
 def test_feedback_pm_harmonics_decay():
     n = 96 * 64
     out = render_feedback_pm(1.0, 500.0, 1.0, n, FS)
-    lines = measure_spectrum(_frame(out)).mags[::64]
+    lines = measure_spectrum(_frame(out)).amps[::64]
     harm = lines[1:11]
     for k in range(1, 9):  # harmonics 2..10
         assert harm[k] > harm[k + 1]

@@ -106,7 +106,7 @@ def test_second_order_matches_pm_oracle():
     periods = 16
     n = round(fs / 500.0) * periods
     pm = render_pm_chain([(3.0, 500.0), (2.0, 500.0), (1.0, 500.0)], n, fs)
-    lines = measure_spectrum(AnalysisFrame(pm, fs, 500.0)).mags[::periods]
+    lines = measure_spectrum(AnalysisFrame(pm, fs, 500.0)).amps[::periods]
     pred = predict_stack([(3.0, 500.0), (2.0, 500.0), (1.0, 500.0)])
     floor = max(np.abs(pred.amps).max(), lines.max()) * 1e-3
     checked = 0
@@ -227,7 +227,7 @@ def _worst_db_against_pm_chain(params, grid, sample_rate, periods=16):
     sample rate must leave the chain's bandwidth unaliased.
     """
     n = round(sample_rate / grid) * periods
-    lines = measure_spectrum(AnalysisFrame(pm_chain(params, n, sample_rate), sample_rate, grid)).mags[::periods]
+    lines = measure_spectrum(AnalysisFrame(pm_chain(params, n, sample_rate), sample_rate, grid)).amps[::periods]
     pred = predict_stack(params)
     floor = max(np.abs(pred.amps).max(), lines.max()) * 1e-3
     worst, checked = 0.0, 0
